@@ -1,6 +1,6 @@
 """Mining benchmarks: miners and the support-counting kernels.
 
-Two questions, on the paper's workloads (CENSUS / HEALTH, honouring
+Three questions, on the paper's workloads (CENSUS / HEALTH, honouring
 ``$REPRO_SCALE``):
 
 * **Miner ablation** -- Apriori vs FP-Growth on exact mining (two
@@ -14,6 +14,13 @@ Two questions, on the paper's workloads (CENSUS / HEALTH, honouring
   ``test_bitmap_counting_speedup`` asserts the headline claim: the
   bitmap backend counts exact Apriori supports >= 5x faster than the
   loop path on CENSUS.
+* **C&P reconstruction** -- the same two backends under the C&P
+  estimator on HEALTH, over the candidate levels Apriori issues when
+  it mines through that estimator.  ``"loops"`` slices the bit matrix
+  and rebuilds the partial-support matrix per candidate; ``"bitmap"``
+  bins each candidate's pattern counts by popcount and builds one
+  matrix per itemset length.  ``test_cp_bitmap_reconstruction_speedup``
+  asserts bit-identical estimates and a >= 3x speedup.
 """
 
 import time
@@ -22,8 +29,9 @@ import pytest
 from conftest import once
 
 from repro.experiments.config import dataset_scale
+from repro.mechanisms.builtin import CutAndPasteMechanism
 from repro.mining.apriori import generate_candidates
-from repro.mining.counting import ExactSupportCounter
+from repro.mining.counting import CutAndPasteSupportEstimator, ExactSupportCounter
 from repro.mining.itemsets import all_items
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.reconstructing import mine_exact
@@ -38,15 +46,30 @@ REQUIRED_SPEEDUP = 5.0
 #: so the gate there only catches gross kernel regressions.
 REQUIRED_SPEEDUP_SMOKE = 3.0
 
+#: Required bitmap-vs-loops speedup of paper-scale C&P reconstruction.
+REQUIRED_CP_SPEEDUP = 3.0
 
-def _apriori_batches(dataset, min_support=MIN_SUPPORT):
-    """The candidate batches Apriori issues, level by level."""
-    counter = ExactSupportCounter(dataset, count_backend="bitmap")
+#: Its floor at reduced $REPRO_SCALE.  Per candidate, both backends pay
+#: the same least-squares solve and a few dozen small NumPy calls; on
+#: 10k records those fixed costs leave ~2.5x, so this floor only
+#: catches gross regressions (a matrix rebuilt per candidate on the
+#: bitmap path lands near 1x).
+REQUIRED_CP_SPEEDUP_SMOKE = 1.5
+
+
+def _apriori_batches(dataset, min_support=MIN_SUPPORT, source=None):
+    """The candidate batches Apriori issues, level by level.
+
+    ``source`` is the support source Apriori mines through (exact
+    bitmap counting by default).
+    """
+    if source is None:
+        source = ExactSupportCounter(dataset, count_backend="bitmap")
     batches = []
     candidates = all_items(dataset.schema)
     while candidates:
         batches.append(candidates)
-        supports = counter.supports(candidates)
+        supports = source.supports(candidates)
         frequent = [
             itemset
             for itemset, support in zip(candidates, supports)
@@ -139,6 +162,73 @@ def test_bitmap_counting_speedup(census, report):
     )
     assert speedup >= required, (
         f"bitmap backend gave only {speedup:.1f}x over loops "
+        f"(need >= {required}x at REPRO_SCALE={dataset_scale()})"
+    )
+
+
+@pytest.fixture(scope="module")
+def cp_levels(health):
+    """C&P-perturbed HEALTH bits and the levels Apriori mines on them."""
+    mechanism = CutAndPasteMechanism(health.schema, 19.0)
+    estimator = mechanism.build_estimator(health, seed=3)
+    batches = _apriori_batches(health, source=estimator)
+    return estimator.perturbed_bits, mechanism.operator, batches
+
+
+def _reconstruct_levels(schema, cp_levels, backend):
+    """Every level's C&P estimates through one fresh estimator."""
+    bits, operator, batches = cp_levels
+    estimator = CutAndPasteSupportEstimator(
+        schema, bits, operator, count_backend=backend
+    )
+    return [estimator.supports(batch) for batch in batches]
+
+
+@pytest.mark.parametrize("backend", ["loops", "bitmap"])
+def test_cp_reconstruction(benchmark, backend, health, cp_levels):
+    """Per-level C&P reconstruction on HEALTH (cold: includes packing)."""
+    estimates = benchmark.pedantic(
+        _reconstruct_levels,
+        args=(health.schema, cp_levels, backend),
+        rounds=3,
+        iterations=1,
+    )
+    assert len(estimates) == len(cp_levels[2])
+
+
+def test_cp_bitmap_reconstruction_speedup(health, cp_levels, report):
+    """Bitmap C&P estimates equal the loop path's, >= 3x faster.
+
+    Best of 7 rounds each, the backends alternating round by round so
+    a drift in machine speed hits both alike.
+    """
+    n_candidates = sum(len(batch) for batch in cp_levels[2])
+    times = {"loops": float("inf"), "bitmap": float("inf")}
+    estimates = {}
+    for _ in range(7):
+        for backend in times:
+            start = time.perf_counter()
+            estimates[backend] = _reconstruct_levels(health.schema, cp_levels, backend)
+            times[backend] = min(times[backend], time.perf_counter() - start)
+    speedup = times["loops"] / times["bitmap"]
+    rows = [f"{'backend':<8} {'seconds':>9} {'candidates/s':>14}"]
+    rows += [
+        f"{backend:<8} {seconds:>9.4f} {n_candidates / seconds:>14,.0f}"
+        for backend, seconds in times.items()
+    ]
+    rows.append(
+        f"speedup: {speedup:.1f}x over {len(cp_levels[2])} levels, "
+        f"{n_candidates} candidates, {health.n_records} records"
+    )
+    report("cp_reconstruction_speedup", "\n".join(rows))
+
+    for expected, got in zip(estimates["loops"], estimates["bitmap"]):
+        assert (expected == got).all()
+    required = (
+        REQUIRED_CP_SPEEDUP if dataset_scale() >= 1.0 else REQUIRED_CP_SPEEDUP_SMOKE
+    )
+    assert speedup >= required, (
+        f"bitmap C&P reconstruction gave only {speedup:.1f}x over loops "
         f"(need >= {required}x at REPRO_SCALE={dataset_scale()})"
     )
 

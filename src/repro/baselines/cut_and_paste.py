@@ -218,6 +218,7 @@ class CutAndPastePerturbation:
         self.schema = schema
         self.max_cut = int(max_cut)
         self.rho = float(rho)
+        self._matrices: dict[int, np.ndarray] = {}
 
     @classmethod
     def for_gamma(
@@ -276,7 +277,9 @@ class CutAndPastePerturbation:
 
         Counts the distribution of intersection sizes with the itemset
         in the perturbed database and solves the partial-support system;
-        the original support is the full-intersection component.
+        the original support is the full-intersection component.  This
+        self-contained path (fresh matrix, slice + ``bincount``) is the
+        oracle the bitmap estimator is checked against.
         """
         positions = list(positions)
         k = len(positions)
@@ -286,11 +289,35 @@ class CutAndPastePerturbation:
             raise DataError("empty perturbed database")
         intersections = perturbed_bits[:, positions].sum(axis=1).astype(np.int64)
         observed = np.bincount(intersections, minlength=k + 1).astype(float) / n_records
-        matrix = self.reconstruction_matrix(k)
-        # For k > K the matrix is exactly rank-deficient (the cut carries
-        # at most K items of evidence), so use least squares: it returns
-        # the minimum-norm solution instead of numerically-exploded
-        # garbage.  This is the mechanism behind the paper's observation
-        # that C&P "does not work after 3-length itemsets".
-        solution, *_ = np.linalg.lstsq(matrix, observed, rcond=None)
-        return float(solution[k])
+        return _full_intersection_support(self.reconstruction_matrix(k), observed)
+
+    def solve_intersection_counts(self, observed_counts) -> float:
+        """Estimated fractional support from an intersection-size histogram.
+
+        ``observed_counts[l]`` is the number of perturbed records that
+        intersect a ``k``-itemset in exactly ``l`` items (length
+        ``k + 1``, as :func:`repro.mining.kernels.intersection_counts`
+        produces).  Solves the same system as
+        :meth:`estimate_itemset_support`, against a partial-support
+        matrix built once per ``k`` and reused.
+        """
+        counts = np.asarray(observed_counts)
+        k = counts.shape[0] - 1
+        n_records = int(counts.sum())
+        if n_records == 0:
+            raise DataError("empty perturbed database")
+        matrix = self._matrices.get(k)
+        if matrix is None:
+            matrix = self._matrices[k] = self.reconstruction_matrix(k)
+        return _full_intersection_support(matrix, counts.astype(float) / n_records)
+
+
+def _full_intersection_support(matrix: np.ndarray, observed: np.ndarray) -> float:
+    """Solve the partial-support system; the support is the last entry."""
+    # For k > K the matrix is exactly rank-deficient (the cut carries
+    # at most K items of evidence), so use least squares: it returns
+    # the minimum-norm solution instead of numerically-exploded
+    # garbage.  This is the mechanism behind the paper's observation
+    # that C&P "does not work after 3-length itemsets".
+    solution, *_ = np.linalg.lstsq(matrix, observed, rcond=None)
+    return float(solution[-1])

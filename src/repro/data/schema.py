@@ -286,8 +286,7 @@ class Schema:
     # ------------------------------------------------------------------
     def boolean_offsets(self) -> tuple[int, ...]:
         """Start offset of each attribute's block in the booleanized row."""
-        offsets = np.concatenate([[0], np.cumsum(self.cardinalities)[:-1]])
-        return tuple(int(o) for o in offsets)
+        return tuple(itertools.accumulate(self.cardinalities[:-1], initial=0))
 
     def describe(self) -> str:
         """Human-readable multi-line summary of the schema."""

@@ -788,9 +788,11 @@ class Orchestrator:
     def _run_claimed(self, pending: dict[str, Cell]) -> None:
         """Claim-coordinated scheduling (the multi-host ``frapp all``).
 
-        Each ready cell goes through adopt -> claim -> compute:
+        Each ready cell goes through adopt -> claim -> adopt -> compute:
         a peer's committed result is adopted outright; otherwise the
-        cell is claimed (stealing expired/poisoned claims) and computed
+        cell is claimed (stealing expired/poisoned claims), the store
+        is checked once more (a peer may have committed and released
+        between the first check and the claim) and the cell computed
         here -- inline for ``jobs == 1``, on the pool otherwise --
         with the store commit strictly *before* the claim release, so
         a released claim always implies an adoptable result.  Claims
@@ -820,6 +822,13 @@ class Orchestrator:
                         continue
                     if not self.claims.acquire(key):
                         continue  # live peer claim: poll again later
+                    if self._adopt(cell, key):
+                        # A peer committed and released between the
+                        # miss above and our acquire: nothing to compute.
+                        self.claims.release(key)
+                        del pending[cell.name]
+                        progressed = True
+                        continue
                     if pool is None:
                         try:
                             payload, arrays = _execute_cell(self._task(cell))

@@ -343,13 +343,14 @@ class CutAndPasteMechanism(Mechanism):
         schema: Schema,
         gamma: float,
         max_cut: int = 3,
-        count_backend: str = "loops",
+        count_backend: str = "bitmap",
     ):
         self.schema = schema
         self.gamma = float(gamma)
         self.max_cut = int(max_cut)
-        # Accepted for interface uniformity; the partial-support system
-        # has no bitmap path (see CutAndPasteSupportEstimator).
+        # The observed intersection-size histograms are counted on this
+        # backend (see CutAndPasteSupportEstimator); estimates are
+        # identical on every backend.
         self.count_backend = validate_backend(count_backend)
         self.operator = CutAndPastePerturbation.for_gamma(schema, gamma, max_cut)
 
@@ -384,7 +385,12 @@ class CutAndPasteMechanism(Mechanism):
 
         self._reject_pipeline(workers, chunk_size)
         perturbed_bits = self.perturb(dataset, seed=seed)
-        return CutAndPasteSupportEstimator(self.schema, perturbed_bits, self.operator)
+        return CutAndPasteSupportEstimator(
+            self.schema,
+            perturbed_bits,
+            self.operator,
+            count_backend=self.count_backend,
+        )
 
 
 class WarnerMechanism(ColumnarMechanism):

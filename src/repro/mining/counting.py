@@ -15,13 +15,14 @@ Implementations:
 * :class:`GammaDiagonalSupportEstimator` -- DET-GD/RAN-GD: observed
   perturbed supports pushed through the Eq.-28 closed-form inverse;
 * :class:`MaskSupportEstimator` -- MASK: per-candidate tensor-power
-  system over the item bits;
+  system over the item bits, one matrix per itemset length;
 * :class:`CutAndPasteSupportEstimator` -- C&P: per-candidate
-  partial-support system.
+  partial-support system, one matrix per itemset length on the
+  bitmap backends.
 
 Every *observed*-support side (exact counting, and the counting pass of
-the DET-GD/RAN-GD and MASK estimators) runs on one of three backends,
-selected with ``count_backend``:
+the DET-GD/RAN-GD, MASK and C&P estimators) runs on one of three
+backends, selected with ``count_backend``:
 
 * ``"bitmap"`` (default) -- the packed AND/popcount kernels of
   :mod:`repro.mining.kernels`: whole candidate batches per Apriori
@@ -30,7 +31,8 @@ selected with ``count_backend``:
   thread-parallel hardware-popcount kernels
   (:mod:`repro.mining.kernels.native`); degrades to ``"bitmap"`` with
   a one-time warning when the extension is absent;
-* ``"loops"`` -- the original per-subset ``bincount`` passes, kept as a
+* ``"loops"`` -- the original per-subset ``bincount`` passes (for MASK
+  and C&P: per-candidate slices of the bit matrix), kept as a
   dependency-free fallback and as the equivalence oracle.
 
 The backends produce *identical* integer counts (and therefore
@@ -51,9 +53,9 @@ from repro.exceptions import DataError, MiningError
 from repro.mining.kernels import (
     BitmapSupportCounter,
     TransactionBitmaps,
+    intersection_counts,
     pattern_counts,
     resolve_backend,
-    validate_backend,
 )
 from repro.mining.kernels.counting import BITMAP_BACKENDS, MAX_PATTERN_BITS
 
@@ -187,7 +189,47 @@ class GammaDiagonalSupportEstimator:
         )
 
 
-class MaskSupportEstimator:
+class _BitMatrixEstimator:
+    """Shared observed side of the MASK and C&P estimators.
+
+    Both reconstruct from an ``(N, M_b)`` perturbed bit matrix.  On the
+    ``"bitmap"``/``"native"`` backends :meth:`_pattern_counts` packs the
+    matrix into :class:`~repro.mining.kernels.TransactionBitmaps` once,
+    on first use, and answers each candidate from
+    :func:`~repro.mining.kernels.pattern_counts` instead of re-scanning
+    the bit matrix; it returns ``None`` on ``"loops"`` and for
+    candidates wider than ``MAX_PATTERN_BITS``, where the subclass runs
+    its operator's loop-path estimate (the equivalence oracle).
+    """
+
+    def __init__(self, schema: Schema, perturbed_bits, count_backend: str):
+        perturbed_bits = np.asarray(perturbed_bits)
+        if perturbed_bits.ndim != 2 or perturbed_bits.shape[1] != schema.n_boolean:
+            raise DataError(
+                f"perturbed bits must have shape (N, {schema.n_boolean}), "
+                f"got {perturbed_bits.shape}"
+            )
+        self.schema = schema
+        self.perturbed_bits = perturbed_bits
+        self.count_backend = resolve_backend(count_backend)
+        self._bitmaps: TransactionBitmaps | None = None
+
+    def _pattern_counts(self, positions) -> np.ndarray | None:
+        if (
+            self.count_backend not in BITMAP_BACKENDS
+            or len(positions) > MAX_PATTERN_BITS
+        ):
+            return None
+        if self.perturbed_bits.shape[0] == 0:
+            raise DataError("empty perturbed database")
+        if self._bitmaps is None:
+            self._bitmaps = TransactionBitmaps.from_boolean_matrix(
+                self.schema, self.perturbed_bits
+            )
+        return pattern_counts(self._bitmaps, positions, backend=self.count_backend)
+
+
+class MaskSupportEstimator(_BitMatrixEstimator):
     """Reconstructed supports from MASK-perturbed boolean data.
 
     With ``count_backend="bitmap"`` the observed pattern distribution of
@@ -205,24 +247,8 @@ class MaskSupportEstimator:
         mask: MaskPerturbation,
         count_backend: str = "bitmap",
     ):
-        perturbed_bits = np.asarray(perturbed_bits)
-        if perturbed_bits.ndim != 2 or perturbed_bits.shape[1] != schema.n_boolean:
-            raise DataError(
-                f"perturbed bits must have shape (N, {schema.n_boolean}), "
-                f"got {perturbed_bits.shape}"
-            )
-        self.schema = schema
-        self.perturbed_bits = perturbed_bits
+        super().__init__(schema, perturbed_bits, count_backend)
         self.mask = mask
-        self.count_backend = resolve_backend(count_backend)
-        self._bitmaps: TransactionBitmaps | None = None
-
-    def _pattern_counts(self, positions) -> np.ndarray:
-        if self._bitmaps is None:
-            self._bitmaps = TransactionBitmaps.from_boolean_matrix(
-                self.schema, self.perturbed_bits
-            )
-        return pattern_counts(self._bitmaps, positions, backend=self.count_backend)
 
     def supports(self, itemsets) -> np.ndarray:
         """Tensor-power reconstruction per candidate (paper Section 7)."""
@@ -231,30 +257,29 @@ class MaskSupportEstimator:
         estimates = np.empty(len(itemsets))
         for i, itemset in enumerate(itemsets):
             positions = itemset.boolean_positions(self.schema)
-            if (
-                self.count_backend in BITMAP_BACKENDS
-                and len(positions) <= MAX_PATTERN_BITS
-            ):
-                if n_records == 0:
-                    raise DataError("empty perturbed database")
-                observed = self._pattern_counts(positions).astype(float)
-                estimates[i] = float(
-                    self.mask.solve_pattern_counts(observed)[-1] / n_records
-                )
-            else:
+            observed = self._pattern_counts(positions)
+            if observed is None:
                 estimates[i] = self.mask.estimate_itemset_support(
                     self.perturbed_bits, positions
                 )
+            else:
+                solved = self.mask.solve_pattern_counts(observed.astype(float))
+                estimates[i] = float(solved[-1] / n_records)
         return estimates
 
 
-class CutAndPasteSupportEstimator:
+class CutAndPasteSupportEstimator(_BitMatrixEstimator):
     """Reconstructed supports from C&P-perturbed boolean data.
 
-    The partial-support system consumes per-record set-bit counts over
-    the candidate's columns (not an all-bits AND), so this estimator
-    stays on the loop path; it accepts ``count_backend`` for interface
-    uniformity and ignores it.
+    The partial-support system consumes the distribution of per-record
+    set-bit counts over the candidate's columns.  With
+    ``count_backend="bitmap"`` (or ``"native"``) that histogram is the
+    candidate's :func:`repro.mining.kernels.pattern_counts` binned by
+    popcount (:func:`repro.mining.kernels.intersection_counts`); with
+    ``"loops"`` it is sliced and ``bincount``-ed from the bit matrix.
+    The integer histograms are equal and both paths solve the same
+    partial-support system (the bitmap path against one matrix per
+    itemset length), so estimates are identical across backends.
     """
 
     def __init__(
@@ -262,25 +287,24 @@ class CutAndPasteSupportEstimator:
         schema: Schema,
         perturbed_bits: np.ndarray,
         operator: CutAndPastePerturbation,
-        count_backend: str = "loops",
+        count_backend: str = "bitmap",
     ):
-        perturbed_bits = np.asarray(perturbed_bits)
-        if perturbed_bits.ndim != 2 or perturbed_bits.shape[1] != schema.n_boolean:
-            raise DataError(
-                f"perturbed bits must have shape (N, {schema.n_boolean}), "
-                f"got {perturbed_bits.shape}"
-            )
-        self.schema = schema
-        self.perturbed_bits = perturbed_bits
+        super().__init__(schema, perturbed_bits, count_backend)
         self.operator = operator
-        self.count_backend = validate_backend(count_backend)
 
     def supports(self, itemsets) -> np.ndarray:
         """Partial-support-system reconstruction per candidate."""
-        estimates = np.empty(len(list(itemsets)))
+        itemsets = list(itemsets)
+        estimates = np.empty(len(itemsets))
         for i, itemset in enumerate(itemsets):
             positions = itemset.boolean_positions(self.schema)
-            estimates[i] = self.operator.estimate_itemset_support(
-                self.perturbed_bits, positions
-            )
+            observed = self._pattern_counts(positions)
+            if observed is None:
+                estimates[i] = self.operator.estimate_itemset_support(
+                    self.perturbed_bits, positions
+                )
+            else:
+                estimates[i] = self.operator.solve_intersection_counts(
+                    intersection_counts(observed)
+                )
         return estimates

@@ -14,8 +14,8 @@ itemset bitmaps so a level-``k`` candidate costs a single AND.
   (:class:`TransactionBitmaps`) plus the popcount/packing primitives;
 * :mod:`repro.mining.kernels.counting` -- the batched
   :class:`BitmapSupportCounter` (an Apriori ``SupportSource``), the
-  MASK pattern-count kernel and the vectorized transaction compressor
-  used by FP-Growth;
+  pattern-count kernel behind the MASK and C&P estimators and the
+  vectorized transaction compressor used by FP-Growth;
 * :mod:`repro.mining.kernels.native` -- typed wrappers around the
   optional compiled extension (``repro._native_kernels``): threaded
   hardware-popcount AND reductions and the fused sample-and-encode
@@ -39,6 +39,7 @@ from repro.mining.kernels.counting import (
     COUNT_BACKENDS,
     BitmapSupportCounter,
     compress_transactions,
+    intersection_counts,
     pattern_counts,
     resolve_backend,
     validate_backend,
@@ -50,6 +51,7 @@ __all__ = [
     "BitmapSupportCounter",
     "TransactionBitmaps",
     "compress_transactions",
+    "intersection_counts",
     "native",
     "pack_bit_rows",
     "pattern_counts",

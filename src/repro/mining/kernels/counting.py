@@ -13,7 +13,10 @@ Also here:
 
 * :func:`pattern_counts` -- exact counts of all ``2^k`` bit patterns
   over ``k`` bitmap rows (superset popcounts + a Möbius transform),
-  which is how the MASK estimator's observed side runs on bitmaps;
+  which is how the MASK and C&P estimators' observed side runs on
+  bitmaps;
+* :func:`intersection_counts` -- those pattern counts binned by
+  popcount, the intersection-size histogram the C&P estimator solves;
 * :func:`compress_transactions` -- vectorized transaction weighting for
   FP-Growth (one ``np.unique`` pass instead of a per-record Python
   loop).
@@ -22,6 +25,7 @@ Also here:
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,8 +46,8 @@ COUNT_BACKENDS = ("loops", "bitmap", "native")
 BITMAP_BACKENDS = ("bitmap", "native")
 
 #: Pattern spaces larger than this fall back to the loop path in the
-#: MASK bitmap estimator: 2^k AND/popcounts (and the 2^k x 2^k
-#: tensor-power solve downstream) stop paying off.
+#: MASK and C&P bitmap estimators: 2^k AND/popcounts (and MASK's
+#: 2^k x 2^k tensor-power solve downstream) stop paying off.
 MAX_PATTERN_BITS = 12
 
 _fallback_warned = False
@@ -269,6 +273,32 @@ def pattern_counts(
         with_bit[axis] = 1
         tensor[tuple(without)] -= tensor[tuple(with_bit)]
     return tensor.reshape(-1)
+
+
+@lru_cache(maxsize=None)
+def _code_popcounts(k: int) -> np.ndarray:
+    codes = np.arange(1 << k, dtype=np.uint64)
+    ones = popcount_words(codes[:, None], axis=1)
+    ones.flags.writeable = False
+    return ones
+
+
+def intersection_counts(counts) -> np.ndarray:
+    """Bin ``2^k`` pattern counts by popcount: a length-``k + 1`` histogram.
+
+    Entry ``l`` is the number of records with exactly ``l`` of the ``k``
+    bits set -- what slicing the ``k`` columns out of the bit matrix,
+    summing each row and ``bincount``-ing gives, computed from
+    :func:`pattern_counts` output instead.  Integer in, integer out, so
+    the two routes agree exactly.
+    """
+    counts = np.asarray(counts)
+    size = counts.shape[0]
+    k = int(size).bit_length() - 1
+    if size < 2 or size != (1 << k):
+        raise DataError(f"pattern counts must have a 2^k length >= 2, got {size}")
+    binned = np.bincount(_code_popcounts(k), weights=counts, minlength=k + 1)
+    return binned.astype(np.int64)
 
 
 def compress_transactions(dataset: CategoricalDataset):

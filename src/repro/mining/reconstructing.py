@@ -308,7 +308,7 @@ class CutAndPasteMiner(MechanismMiner):
         schema: Schema,
         gamma: float,
         max_cut: int = 3,
-        count_backend: str = "loops",
+        count_backend: str = "bitmap",
     ):
         from repro.mechanisms.builtin import CutAndPasteMechanism
 

@@ -114,6 +114,29 @@ def _strip_seconds(result):
     return sorted((length, repr(level)) for length, level in result.by_length.items())
 
 
+class _PeerCommitsBeforeAcquire:
+    """A claim board on which a peer always commits just before ``acquire``.
+
+    Forces the adopt -> claim race deterministically: this host's store
+    check has missed, then a peer commits the cell and releases its
+    claim (copied here from ``peer_store``), then this host's
+    ``acquire`` succeeds on the now-free key.
+    """
+
+    def __init__(self, board, peer_store, store):
+        self._board = board
+        self._peer_store = peer_store
+        self._store = store
+
+    def acquire(self, key):
+        payload, arrays = self._peer_store.get(key)
+        self._store.put(key, payload, arrays=arrays)
+        return self._board.acquire(key)
+
+    def __getattr__(self, name):
+        return getattr(self._board, name)
+
+
 @pytest.fixture(scope="module")
 def grid():
     spec = DatasetSpec.from_name("CENSUS", n_records=1500)
@@ -166,6 +189,25 @@ class TestClaimedOrchestration:
         assert s1.misses + s2.misses == len(grid)  # every cell computed once
         assert s1.remote + s2.remote == len(grid)  # and adopted by the other
         assert not list(claim_root.glob("*.claim"))  # all claims released
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_peer_commit_between_adopt_and_claim_is_adopted(
+        self, grid, reference, tmp_path, jobs
+    ):
+        """A claim won on a key a peer just finished is released, not run."""
+        peer_store = ResultStore(tmp_path / "peer")
+        Orchestrator(store=peer_store, fingerprint="fp").run(grid)
+        store = ResultStore(tmp_path / "store")
+        claim_root = tmp_path / "claims"
+        board = _PeerCommitsBeforeAcquire(
+            ClaimBoard(claim_root, holder="late"), peer_store, store
+        )
+        orch = Orchestrator(store=store, jobs=jobs, fingerprint="fp", claims=board)
+        results = orch.run(grid)
+        assert {n: _strip_seconds(r) for n, r in results.items()} == reference
+        assert orch.stats.misses == 0
+        assert orch.stats.remote == len(grid)
+        assert not list(claim_root.glob("*.claim"))
 
     def test_pooled_claimed_run_matches_reference(self, grid, reference, tmp_path):
         orch = Orchestrator(

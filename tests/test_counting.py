@@ -6,8 +6,10 @@ import pytest
 from repro.baselines.cut_and_paste import CutAndPastePerturbation
 from repro.baselines.mask import MaskPerturbation
 from repro.core.engine import GammaDiagonalPerturbation
+from repro.data.census import census_schema, generate_census
 from repro.data.dataset import CategoricalDataset
-from repro.exceptions import DataError, MiningError
+from repro.exceptions import DataError, FrappError, MiningError
+from repro.mechanisms import registry
 from repro.mining.counting import (
     CutAndPasteSupportEstimator,
     ExactSupportCounter,
@@ -127,3 +129,75 @@ class TestCutAndPasteEstimator:
         operator = CutAndPastePerturbation(survey_schema, max_cut=3, rho=0.2)
         with pytest.raises(DataError):
             CutAndPasteSupportEstimator(survey_schema, np.zeros((5, 3)), operator)
+
+
+# ----------------------------------------------------------------------
+# the supports() input contract, for every support source
+# ----------------------------------------------------------------------
+
+#: Factory arguments for registered mechanisms that take no ``gamma``.
+_NON_GAMMA_PARAMS = {
+    "additive-noise": {"scale": 1.5},
+    "composite": {
+        "parts": [
+            {"name": "det-gd", "n_attributes": 3, "params": {"gamma": 19.0}},
+            {"name": "ran-gd", "n_attributes": 3, "params": {"gamma": 19.0}},
+        ]
+    },
+}
+
+
+def _paper_mechanisms():
+    """Every registered mechanism that admits the CENSUS schema."""
+    found = []
+    for name in registry.available():
+        params = _NON_GAMMA_PARAMS.get(name, {"gamma": 19.0})
+        try:
+            mechanism = registry.create(name, census_schema(), **params)
+        except FrappError:
+            continue  # e.g. WARNER needs a single binary attribute
+        found.append(pytest.param(mechanism, id=name))
+    return found
+
+
+@pytest.fixture(scope="module")
+def census_sample():
+    return generate_census(400, seed=11)
+
+
+def _contract_itemsets():
+    return [
+        Itemset.of((0, 1)),
+        Itemset.of((5, 0)),
+        Itemset.of((0, 0), (3, 2)),
+        Itemset.of((1, 1), (2, 0), (4, 1)),
+        Itemset.of((4, 0), (5, 1)),
+    ]
+
+
+def _assert_input_contract(source):
+    itemsets = _contract_itemsets()
+    # The generator goes first, so a source that exhausts it before
+    # counting cannot be rescued by a reused result buffer.
+    from_generator = source.supports(itemset for itemset in itemsets)
+    expected = source.supports(itemsets)
+    assert expected.shape == (len(itemsets),)
+    assert np.array_equal(from_generator, expected)
+    assert np.array_equal(source.supports(tuple(itemsets)), expected)
+    assert np.array_equal(source.supports(iter(itemsets)), expected)
+    doubled = source.supports(itemsets + itemsets[::-1])
+    assert np.array_equal(doubled, np.concatenate([expected, expected[::-1]]))
+    assert source.supports([]).shape == (0,)
+    assert source.supports(iter(())).shape == (0,)
+
+
+class TestSupportsInputContract:
+    """Lists, tuples, generators and duplicates give identical supports."""
+
+    @pytest.mark.parametrize("backend", ["loops", "bitmap"])
+    def test_exact_counter(self, census_sample, backend):
+        _assert_input_contract(ExactSupportCounter(census_sample, backend))
+
+    @pytest.mark.parametrize("mechanism", _paper_mechanisms())
+    def test_mechanism_estimator(self, census_sample, mechanism):
+        _assert_input_contract(mechanism.build_estimator(census_sample, seed=3))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.cut_and_paste import CutAndPastePerturbation
 from repro.baselines.mask import MaskPerturbation
 from repro.core.engine import GammaDiagonalPerturbation
 from repro.data.dataset import CategoricalDataset
@@ -22,6 +23,7 @@ from repro.data.schema import Attribute, Schema
 from repro.exceptions import DataError, MiningError
 from repro.mining.apriori import generate_candidates
 from repro.mining.counting import (
+    CutAndPasteSupportEstimator,
     ExactSupportCounter,
     GammaDiagonalSupportEstimator,
     MaskSupportEstimator,
@@ -30,6 +32,7 @@ from repro.mining.itemsets import Itemset, all_items
 from repro.mining.kernels import (
     BitmapSupportCounter,
     TransactionBitmaps,
+    intersection_counts,
     pattern_counts,
     popcount_words,
     validate_backend,
@@ -279,19 +282,32 @@ def test_gamma_diagonal_estimator_backends_agree(
     assert np.allclose(expected, got, rtol=0, atol=0)
 
 
-def test_mask_estimator_backends_agree(survey_schema, survey_dataset):
-    mask = MaskPerturbation(survey_schema, p=0.85)
-    bits = mask.perturb(survey_dataset, seed=6)
-    loops = MaskSupportEstimator(survey_schema, bits, mask, count_backend="loops")
-    bitmap = MaskSupportEstimator(survey_schema, bits, mask, count_backend="bitmap")
+@pytest.mark.parametrize(
+    "estimator, operator",
+    [
+        (MaskSupportEstimator, lambda schema: MaskPerturbation(schema, p=0.85)),
+        (
+            CutAndPasteSupportEstimator,
+            lambda schema: CutAndPastePerturbation(schema, max_cut=3, rho=0.2),
+        ),
+    ],
+    ids=["mask", "c&p"],
+)
+def test_boolean_estimator_backends_agree(
+    survey_schema, survey_dataset, estimator, operator
+):
+    operator = operator(survey_schema)
+    bits = operator.perturb(survey_dataset, seed=6)
     itemsets = [
         Itemset.of((0, 0)),
         Itemset.of((0, 0), (1, 1)),
         Itemset.of((0, 2), (1, 0), (2, 1)),
     ]
-    assert np.allclose(
-        loops.supports(itemsets), bitmap.supports(itemsets), rtol=0, atol=0
-    )
+    loops = estimator(survey_schema, bits, operator, count_backend="loops")
+    expected = loops.supports(itemsets)
+    for backend in ("bitmap", "native"):
+        kernel = estimator(survey_schema, bits, operator, count_backend=backend)
+        assert np.allclose(expected, kernel.supports(itemsets), rtol=0, atol=0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -311,7 +327,11 @@ def test_mask_pattern_counts_equal_bincount(schema, seed):
     sub = np.asarray(bits)[:, positions].astype(np.int64)
     weights = 1 << np.arange(k - 1, -1, -1)
     expected = np.bincount(sub @ weights, minlength=1 << k)
-    assert np.array_equal(expected, pattern_counts(bitmaps, positions))
+    counts = pattern_counts(bitmaps, positions)
+    assert np.array_equal(expected, counts)
+    # Binned by popcount they are C&P's intersection-size histogram.
+    histogram = np.bincount(sub.sum(axis=1), minlength=k + 1)
+    assert np.array_equal(histogram, intersection_counts(counts))
 
 
 # ----------------------------------------------------------------------
