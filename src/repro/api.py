@@ -185,17 +185,13 @@ class Session:
         dataset = _as_dataset(self.schema, data)
         seed = self.seed if seed is None else seed
         if self._pipelined():
-            from repro.pipeline import PerturbationPipeline
+            from repro.pipeline import DEFAULT_CHUNK_SIZE, PerturbationPipeline
 
             pipeline = PerturbationPipeline(
                 self.mechanism,
+                DEFAULT_CHUNK_SIZE if self.chunk_size is None else self.chunk_size,
                 workers=self.workers,
                 dispatch=self.dispatch,
-                **(
-                    {}
-                    if self.chunk_size is None
-                    else {"chunk_size": self.chunk_size}
-                ),
             )
             return pipeline.perturb(dataset, seed=seed)
         return self.mechanism.perturb(dataset, seed=seed)
@@ -203,17 +199,21 @@ class Session:
     def reconstruct(self, perturbed, itemsets) -> np.ndarray:
         """Reconstructed fractional supports of ``itemsets``.
 
-        ``perturbed`` is a dataset this session's mechanism released
-        (from :meth:`perturb`, the service spool, or disk); supports
-        come from the mechanism's marginal inversion and may be
-        slightly negative for rare itemsets.
+        ``perturbed`` is what this session's mechanism released (from
+        :meth:`perturb`, the service spool, or disk).  Columnar
+        mechanisms invert their induced marginals; MASK and C&P, whose
+        release is an ``(N, M_b)`` bit matrix, use their own bit-matrix
+        estimator.  Supports may be slightly negative for rare itemsets.
         """
         from repro.mechanisms.base import MarginalInversionEstimator
 
-        dataset = _as_dataset(self.schema, perturbed)
-        estimator = MarginalInversionEstimator(
-            self.mechanism, dataset.subset_counts, dataset.n_records
-        )
+        if hasattr(self.mechanism, "marginal_operator"):
+            dataset = _as_dataset(self.schema, perturbed)
+            estimator = MarginalInversionEstimator(
+                self.mechanism, dataset.subset_counts, dataset.n_records
+            )
+        else:
+            estimator = self.mechanism._estimator(perturbed)
         return estimator.supports(_as_itemsets(itemsets))
 
     def mine(

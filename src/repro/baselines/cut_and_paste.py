@@ -311,6 +311,20 @@ class CutAndPastePerturbation:
             matrix = self._matrices[k] = self.reconstruction_matrix(k)
         return _full_intersection_support(matrix, counts.astype(float) / n_records)
 
+    def support_from_pattern_counts(self, pattern_counts) -> float:
+        """Estimated fractional support from observed pattern counts.
+
+        The bit-matrix estimator's per-candidate step: the ``2^k``
+        pattern counts, binned by popcount
+        (:func:`repro.mining.kernels.intersection_counts`), are the
+        intersection-size histogram :meth:`solve_intersection_counts`
+        solves.
+        """
+        # Deferred: repro.mining imports the mechanisms, which import us.
+        from repro.mining.kernels import intersection_counts
+
+        return self.solve_intersection_counts(intersection_counts(pattern_counts))
+
 
 def _full_intersection_support(matrix: np.ndarray, observed: np.ndarray) -> float:
     """Solve the partial-support system; the support is the last entry."""

@@ -182,6 +182,18 @@ class MaskPerturbation:
             matrix = self._matrices[k] = itemset_matrix(self.p, k)
         return np.linalg.solve(matrix, observed)
 
+    def support_from_pattern_counts(self, pattern_counts) -> float:
+        """Estimated fractional support from observed pattern counts.
+
+        ``pattern_counts`` is the candidate's length-``2^k`` perturbed
+        pattern distribution (the bit-matrix estimator's per-candidate
+        step); the all-bits-set entry of the solved system, over the
+        record count, is the support.
+        """
+        counts = np.asarray(pattern_counts)
+        solved = self.solve_pattern_counts(counts.astype(float))
+        return float(solved[-1] / int(counts.sum()))
+
     def estimate_itemset_support(self, perturbed_bits: np.ndarray, positions) -> float:
         """Estimated fractional support of the itemset on given bits."""
         n_records = np.asarray(perturbed_bits).shape[0]

@@ -22,6 +22,18 @@ module makes that bundle a first-class object:
   chunk-splittable -- so composite outputs remain bit-identical across
   worker counts and dispatch modes, exactly like the single-matrix
   engines (see :mod:`repro.core.engine`).
+* :class:`MarginalInversionEstimator` -- the solver every columnar
+  mechanism gets for free: invert the induced marginal per itemset.
+
+Support estimation is one path for every mechanism: the single
+``build_estimator`` on :class:`Mechanism` perturbs (in one shot, or
+through :class:`~repro.pipeline.PerturbationPipeline` into joint counts
+or packed bitmaps), and hands the perturbed source to the mechanism's
+solver step -- marginal inversion over the observed-count source
+(:class:`~repro.mining.counting.ExactSupportCounter`) for columnar
+mechanisms, the Eq.-28 closed form for DET-GD/RAN-GD, and the
+bit-matrix estimator for MASK and C&P (all in
+:mod:`repro.mining.counting`).
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ import numpy as np
 
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
-from repro.exceptions import DataError, ExperimentError
+from repro.exceptions import DataError, ExperimentError, MiningError
 from repro.stats.rng import as_generator
 
 #: Largest joint-domain size the streaming path accumulates as a dense
@@ -141,8 +153,10 @@ class Mechanism(abc.ABC):
 
     Concrete mechanisms set :attr:`key` (their registry name) and
     :attr:`display` (the paper-style display name used in tables), and
-    implement the three bundle members.  ``supports_pipeline`` declares
-    whether the mechanism's sampler satisfies the chunk protocol of
+    implement the sampler, the privacy description and the solver step
+    ``_estimator`` (``build_estimator`` is shared).
+    ``supports_pipeline`` declares whether the mechanism's sampler
+    satisfies the chunk protocol of
     :class:`repro.pipeline.PerturbationPipeline` (fixed-width uniform
     blocks per record, in record order) -- drivers route ``workers`` /
     ``chunk_size`` / ``dispatch`` only to mechanisms that do.
@@ -218,7 +232,6 @@ class Mechanism(abc.ABC):
         baselines.
         """
 
-    @abc.abstractmethod
     def build_estimator(
         self,
         dataset,
@@ -231,11 +244,21 @@ class Mechanism(abc.ABC):
         """Perturb ``dataset`` and wrap it in this mechanism's estimator.
 
         The returned object satisfies the Apriori ``SupportSource``
-        protocol (``supports(itemsets) -> array``).  Mechanisms with
-        ``supports_pipeline`` route non-default ``workers`` /
-        ``chunk_size`` / ``dispatch`` through
+        protocol (``supports(itemsets) -> array``).  The direct path
+        (``workers=1``, no ``chunk_size``) perturbs in one shot.
+        Mechanisms with ``supports_pipeline`` route any other
+        ``workers`` / ``chunk_size`` / ``dispatch`` through
         :class:`repro.pipeline.PerturbationPipeline`; others raise
-        :class:`~repro.exceptions.ExperimentError` for them.
+        :class:`~repro.exceptions.ExperimentError` for them.  The
+        pipeline folds packed transaction bitmaps when the joint domain
+        exceeds :data:`MAX_JOINT_ACCUMULATION` (``O(N * M_b / 8)``
+        memory, independent of the domain) or when the mechanism counts
+        on a bitmap ``count_backend`` and ``dataset`` is materialised;
+        otherwise it folds the joint-count vector (one chunk plus
+        ``O(|S_U|)`` memory, so ``dataset`` may be any chunk iterable).
+        Every source holds the same perturbed records, so estimates
+        depend on them only, not on the execution layout.
+
         ``solver`` is an optional
         :class:`~repro.solvers.SolverPortfolio` for estimators that
         solve per-cell linear systems (the marginal-inversion path);
@@ -244,6 +267,38 @@ class Mechanism(abc.ABC):
         supports) accept and ignore it -- the portfolio's ``closed``
         lane would reproduce their answer bit-for-bit anyway.
         """
+        if workers == 1 and chunk_size is None:
+            return self._estimator(self.perturb(dataset, seed=seed), solver)
+        if not self.supports_pipeline:
+            raise ExperimentError(
+                f"mechanism {self.display or self.key!r} has no chunked/"
+                "multi-worker execution path (supports_pipeline=False)"
+            )
+        from repro.mining.kernels.counting import BITMAP_BACKENDS
+        from repro.pipeline import DEFAULT_CHUNK_SIZE, PerturbationPipeline
+
+        pipeline = PerturbationPipeline(
+            self,
+            chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
+            workers=workers,
+            dispatch=dispatch,
+        )
+        backend = getattr(self, "count_backend", "loops")
+        if self.schema.joint_size > MAX_JOINT_ACCUMULATION or (
+            backend in BITMAP_BACKENDS and isinstance(dataset, CategoricalDataset)
+        ):
+            source = pipeline.accumulate_bitmaps(dataset, seed=seed)
+        else:
+            source = pipeline.accumulate(dataset, seed=seed)
+        return self._estimator(source, solver)
+
+    def _estimator(self, source, solver=None):
+        """The solver step: a ``SupportSource`` over perturbed ``source``.
+
+        ``source`` is this mechanism's perturbed output or, on the
+        pipeline path, the accumulator it was folded into.
+        """
+        raise NotImplementedError(f"{type(self).__name__} defines no support estimator")
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -251,13 +306,6 @@ class Mechanism(abc.ABC):
     def _check_schema(self, dataset: CategoricalDataset) -> None:
         if dataset.schema != self.schema:
             raise DataError("dataset schema does not match the mechanism schema")
-
-    def _reject_pipeline(self, workers, chunk_size) -> None:
-        if workers != 1 or chunk_size is not None:
-            raise ExperimentError(
-                f"mechanism {self.display or self.key!r} has no chunked/"
-                "multi-worker execution path (supports_pipeline=False)"
-            )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec()})"
@@ -368,65 +416,18 @@ class ColumnarMechanism(Mechanism):
             )
         return positions
 
-    def build_estimator(
-        self,
-        dataset,
-        seed=None,
-        workers: int = 1,
-        chunk_size=None,
-        dispatch: str = "pickle",
-        solver=None,
-    ):
-        """Generic estimator: invert the induced marginal per itemset.
+    def _estimator(self, source, solver=None):
+        """Invert the induced marginal per itemset over observed counts.
 
-        The direct path perturbs in one shot and counts on the perturbed
-        dataset; pipeline options stream the perturbation through
-        :class:`repro.pipeline.PerturbationPipeline` and answer the same
-        subset-count queries from the accumulated joint counts -- the
-        two sources agree exactly, so estimates only depend on the
-        perturbed records, not on the execution layout.  Wide schemas
-        (joint domain beyond :data:`MAX_JOINT_ACCUMULATION`) accumulate
-        packed transaction bitmaps instead of the joint count vector:
-        subset counts come from AND/popcount over the itemset's
-        attribute rows, which answers the same queries exactly without
-        ever touching joint-domain indices.
+        Sub-domain counts come from the one observed-count source, so a
+        dataset, accumulated joint counts and (wide schemas) AND+popcount
+        over accumulated bitmaps all answer the same queries exactly.
         """
-        if workers == 1 and chunk_size is None:
-            perturbed = self.perturb(dataset, seed=seed)
-            return MarginalInversionEstimator(
-                self, perturbed.subset_counts, perturbed.n_records, solver=solver
-            )
-        from repro.pipeline import DEFAULT_CHUNK_SIZE, PerturbationPipeline
+        from repro.mining.counting import ExactSupportCounter
 
-        pipeline = PerturbationPipeline(
-            self,
-            chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
-            workers=workers,
-            dispatch=dispatch,
-        )
-        if self.schema.joint_size > MAX_JOINT_ACCUMULATION:
-            import functools
-
-            from repro.mining.kernels import resolve_backend
-
-            accumulator = pipeline.accumulate_bitmaps(dataset, seed=seed)
-            # Wide-schema marginal queries are pure AND+popcount, so the
-            # mechanism's counting backend (when it has one) carries
-            # through to the word kernels.
-            backend = resolve_backend(getattr(self, "count_backend", "bitmap"))
-            if backend == "loops":
-                backend = "bitmap"
-            return MarginalInversionEstimator(
-                self,
-                functools.partial(
-                    accumulator.bitmaps.subset_counts, backend=backend
-                ),
-                accumulator.n_records,
-                solver=solver,
-            )
-        accumulator = pipeline.accumulate(dataset, seed=seed)
+        counter = ExactSupportCounter(source, getattr(self, "count_backend", "loops"))
         return MarginalInversionEstimator(
-            self, accumulator.subset_counts, accumulator.n_records, solver=solver
+            self, counter.subset_counts, source.n_records, solver=solver
         )
 
 
@@ -450,8 +451,8 @@ class MarginalInversionEstimator:
         The columnar mechanism whose marginals to invert.
     subset_counts:
         Callable ``positions -> count vector`` over the perturbed data
-        -- a dataset's ``subset_counts`` or a
-        :class:`repro.pipeline.JointCountAccumulator`'s.
+        -- normally :meth:`repro.mining.counting.ExactSupportCounter.subset_counts`,
+        or a dataset's or accumulator's own ``subset_counts``.
     n_records:
         Total perturbed record count.
     solver:
@@ -479,8 +480,6 @@ class MarginalInversionEstimator:
 
     def supports(self, itemsets) -> np.ndarray:
         """Reconstructed fractional supports; may be negative for rare sets."""
-        from repro.exceptions import MiningError
-
         itemsets = list(itemsets)
         if self.n_records == 0:
             raise MiningError("cannot estimate supports of an empty database")

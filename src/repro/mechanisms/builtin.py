@@ -41,7 +41,6 @@ from repro.exceptions import DataError, MatrixError
 from repro.mechanisms.base import ColumnarMechanism, Mechanism, MechanismSpec
 from repro.mechanisms.registry import register
 from repro.mining.kernels import validate_backend
-from repro.mining.kernels.counting import BITMAP_BACKENDS
 from repro.stats.kronecker import KroneckerOperator
 
 
@@ -128,53 +127,12 @@ class GammaDiagonalMechanism(ColumnarMechanism):
         """Fixed-width sampler for composite slicing."""
         return self.engine.perturb_from_uniforms(records, draws)
 
-    def build_estimator(
-        self,
-        dataset,
-        seed=None,
-        workers: int = 1,
-        chunk_size=None,
-        dispatch: str = "pickle",
-        solver=None,
-    ):
-        """Perturb and wrap in the Eq.-28 support estimator.
-
-        The direct path (``workers=1``, no ``chunk_size``) perturbs in
-        one shot; any pipeline option routes through
-        :class:`repro.pipeline.PerturbationPipeline` with the same
-        accumulated-count / bitmap estimators the drivers used (see
-        their docstrings for the memory trade-offs).
-        """
+    def _estimator(self, source, solver=None):
+        """The Eq.-28 closed form over the perturbed dataset or stream."""
         from repro.mining.counting import GammaDiagonalSupportEstimator
 
-        if workers == 1 and chunk_size is None:
-            perturbed = self.perturb(dataset, seed=seed)
-            return GammaDiagonalSupportEstimator(
-                perturbed, self.gamma, count_backend=self.count_backend
-            )
-        from repro.pipeline import (
-            DEFAULT_CHUNK_SIZE,
-            AccumulatedSupportEstimator,
-            BitmapStreamSupportEstimator,
-            PerturbationPipeline,
-        )
-
-        pipeline = PerturbationPipeline(
-            self.engine,
-            chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
-            workers=workers,
-            dispatch=dispatch,
-        )
-        if self.count_backend in BITMAP_BACKENDS and isinstance(
-            dataset, CategoricalDataset
-        ):
-            return BitmapStreamSupportEstimator(
-                pipeline.accumulate_bitmaps(dataset, seed=seed),
-                self.gamma,
-                count_backend=self.count_backend,
-            )
-        return AccumulatedSupportEstimator(
-            pipeline.accumulate(dataset, seed=seed), self.gamma
+        return GammaDiagonalSupportEstimator(
+            source, self.gamma, count_backend=self.count_backend
         )
 
 
@@ -273,18 +231,42 @@ class RandomizedGammaDiagonalMechanism(GammaDiagonalMechanism):
         return self.engine.perturb_from_uniforms(records, draws)
 
 
-class MaskMechanism(Mechanism):
+class _BitMatrixMechanism(Mechanism):
+    """A booleanizing baseline: operator sampler + bit-matrix estimator.
+
+    The perturbed representation is an ``(N, M_b)`` bit matrix, so
+    these mechanisms are neither composable nor pipeline-capable.
+    Subclasses set ``operator`` and ``count_backend``.
+    """
+
+    supports_pipeline = False
+
+    def amplification(self) -> float:
+        """The operator's exact worst-case amplification."""
+        return self.operator.amplification()
+
+    def perturb(self, dataset: CategoricalDataset, seed=None) -> np.ndarray:
+        """Apply the operator; returns the ``(N, M_b)`` bit matrix."""
+        return self.operator.perturb(dataset, seed=seed)
+
+    def _estimator(self, source, solver=None):
+        """The bit-matrix estimator over the operator's solver."""
+        from repro.mining.counting import _BitMatrixEstimator
+
+        return _BitMatrixEstimator(
+            self.schema, source, self.operator, count_backend=self.count_backend
+        )
+
+
+class MaskMechanism(_BitMatrixMechanism):
     """MASK as a registered mechanism (Rizvi & Haritsa, VLDB 2002).
 
-    Booleanizes and bit-flips; the perturbed representation is an
-    ``(N, M_b)`` bit matrix, so MASK is neither composable nor
-    pipeline-capable (the constraints the old driver encoded by simply
-    not having the parameters).
+    Booleanizes and bit-flips; amplification is ``(p/(1-p))^(2M)`` over
+    valid records (paper Section 7).
     """
 
     key = "mask"
     display = "MASK"
-    supports_pipeline = False
 
     def __init__(self, schema: Schema, gamma: float, count_backend: str = "bitmap"):
         self.schema = schema
@@ -301,42 +283,12 @@ class MaskMechanism(Mechanism):
         """``mask(gamma=...)`` -- ``p`` is derived (privacy-tight)."""
         return MechanismSpec(self.key, {"gamma": self.gamma})
 
-    def amplification(self) -> float:
-        """``(p/(1-p))^(2M)`` over valid records (paper Section 7)."""
-        return self.operator.amplification()
 
-    def perturb(self, dataset: CategoricalDataset, seed=None) -> np.ndarray:
-        """Booleanize and flip; returns the ``(N, M_b)`` bit matrix."""
-        return self.operator.perturb(dataset, seed=seed)
-
-    def build_estimator(
-        self,
-        dataset,
-        seed=None,
-        workers: int = 1,
-        chunk_size=None,
-        dispatch: str = "pickle",
-        solver=None,
-    ):
-        """Perturb and wrap in the tensor-power estimator."""
-        from repro.mining.counting import MaskSupportEstimator
-
-        self._reject_pipeline(workers, chunk_size)
-        perturbed_bits = self.perturb(dataset, seed=seed)
-        return MaskSupportEstimator(
-            self.schema,
-            perturbed_bits,
-            self.operator,
-            count_backend=self.count_backend,
-        )
-
-
-class CutAndPasteMechanism(Mechanism):
+class CutAndPasteMechanism(_BitMatrixMechanism):
     """C&P as a registered mechanism (Evfimievski et al., KDD 2002)."""
 
     key = "c&p"
     display = "C&P"
-    supports_pipeline = False
 
     def __init__(
         self,
@@ -348,9 +300,6 @@ class CutAndPasteMechanism(Mechanism):
         self.schema = schema
         self.gamma = float(gamma)
         self.max_cut = int(max_cut)
-        # The observed intersection-size histograms are counted on this
-        # backend (see CutAndPasteSupportEstimator); estimates are
-        # identical on every backend.
         self.count_backend = validate_backend(count_backend)
         self.operator = CutAndPastePerturbation.for_gamma(schema, gamma, max_cut)
 
@@ -362,35 +311,6 @@ class CutAndPasteMechanism(Mechanism):
     def spec(self) -> MechanismSpec:
         """``c&p(gamma=..., max_cut=...)`` -- ``rho`` is derived."""
         return MechanismSpec(self.key, {"gamma": self.gamma, "max_cut": self.max_cut})
-
-    def amplification(self) -> float:
-        """Exact worst-case entry ratio of the C&P transition matrix."""
-        return self.operator.amplification()
-
-    def perturb(self, dataset: CategoricalDataset, seed=None) -> np.ndarray:
-        """Apply the operator; returns the ``(N, M_b)`` bit matrix."""
-        return self.operator.perturb(dataset, seed=seed)
-
-    def build_estimator(
-        self,
-        dataset,
-        seed=None,
-        workers: int = 1,
-        chunk_size=None,
-        dispatch: str = "pickle",
-        solver=None,
-    ):
-        """Perturb and wrap in the partial-support estimator."""
-        from repro.mining.counting import CutAndPasteSupportEstimator
-
-        self._reject_pipeline(workers, chunk_size)
-        perturbed_bits = self.perturb(dataset, seed=seed)
-        return CutAndPasteSupportEstimator(
-            self.schema,
-            perturbed_bits,
-            self.operator,
-            count_backend=self.count_backend,
-        )
 
 
 class WarnerMechanism(ColumnarMechanism):

@@ -1,4 +1,4 @@
-"""Support sources: exact counting and per-mechanism estimation.
+"""Support sources: one observed-count source plus per-mechanism solvers.
 
 Apriori (:mod:`repro.mining.apriori`) is written against the small
 ``SupportSource`` protocol -- ``supports(itemsets) -> array of
@@ -8,21 +8,32 @@ exactly how the paper stages its experiments (Section 7, "Perturbation
 Mechanisms": Apriori "with an additional support reconstruction phase
 at the end of each pass").
 
-Implementations:
+Mining perturbed data is always the same two steps -- count what was
+observed, then invert the mechanism's matrix -- so there is one count
+source and one solver step per mechanism:
 
-* :class:`ExactSupportCounter` -- true supports on a categorical
-  dataset;
-* :class:`GammaDiagonalSupportEstimator` -- DET-GD/RAN-GD: observed
-  perturbed supports pushed through the Eq.-28 closed-form inverse;
-* :class:`MaskSupportEstimator` -- MASK: per-candidate tensor-power
-  system over the item bits, one matrix per itemset length;
-* :class:`CutAndPasteSupportEstimator` -- C&P: per-candidate
-  partial-support system, one matrix per itemset length on the
-  bitmap backends.
+* :class:`ExactSupportCounter` -- *the* observed-count source.  It
+  wraps a categorical dataset, a
+  :class:`~repro.pipeline.JointCountAccumulator` or a
+  :class:`~repro.pipeline.BitmapAccumulator` and answers itemset
+  ``supports`` and sub-domain ``subset_counts``; on unperturbed data
+  it is the exact miner's support source;
+* :class:`GammaDiagonalSupportEstimator` -- DET-GD/RAN-GD: the
+  counter's observed supports pushed through the Eq.-28 closed-form
+  inverse, whichever of the three sources it counts on;
+* the bit-matrix estimator (``MaskSupportEstimator`` and
+  ``CutAndPasteSupportEstimator`` are the same class) -- MASK and C&P:
+  per-candidate pattern counts of an ``(N, M_b)`` perturbed bit matrix,
+  solved by the operator's own ``support_from_pattern_counts``;
+* :class:`repro.mechanisms.base.MarginalInversionEstimator` -- every
+  other columnar mechanism, over the counter's ``subset_counts``.
 
-Every *observed*-support side (exact counting, and the counting pass of
-the DET-GD/RAN-GD, MASK and C&P estimators) runs on one of three
-backends, selected with ``count_backend``:
+The streaming names ``AccumulatedSupportEstimator`` and
+``BitmapStreamSupportEstimator`` (:mod:`repro.pipeline.streaming`) are
+aliases of :class:`GammaDiagonalSupportEstimator`.
+
+Observed counts come from one of three backends, selected with
+``count_backend``:
 
 * ``"bitmap"`` (default) -- the packed AND/popcount kernels of
   :mod:`repro.mining.kernels`: whole candidate batches per Apriori
@@ -31,9 +42,9 @@ backends, selected with ``count_backend``:
   thread-parallel hardware-popcount kernels
   (:mod:`repro.mining.kernels.native`); degrades to ``"bitmap"`` with
   a one-time warning when the extension is absent;
-* ``"loops"`` -- the original per-subset ``bincount`` passes (for MASK
-  and C&P: per-candidate slices of the bit matrix), kept as a
-  dependency-free fallback and as the equivalence oracle.
+* ``"loops"`` -- per-subset ``bincount`` passes (for MASK and C&P:
+  per-candidate slices of the bit matrix), kept as a dependency-free
+  fallback and as the equivalence oracle.
 
 The backends produce *identical* integer counts (and therefore
 bit-identical supports); the estimator outputs follow the same
@@ -44,109 +55,96 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.cut_and_paste import CutAndPastePerturbation
-from repro.baselines.mask import MaskPerturbation
 from repro.core.marginal import estimate_subset_supports_batch
-from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.exceptions import DataError, MiningError
 from repro.mining.kernels import (
     BitmapSupportCounter,
     TransactionBitmaps,
-    intersection_counts,
     pattern_counts,
     resolve_backend,
+    validate_backend,
 )
 from repro.mining.kernels.counting import BITMAP_BACKENDS, MAX_PATTERN_BITS
 
 
-def supports_from_subset_counts(
-    schema: Schema, n_records: int, subset_counts, itemsets
-) -> np.ndarray:
-    """Fractional support of each itemset via shared per-subset counts.
-
-    ``subset_counts(attrs)`` supplies the count vector over an attribute
-    subset's sub-domain -- a dataset's ``subset_counts`` for direct
-    counting, or a :class:`repro.pipeline.JointCountAccumulator`'s for
-    the streaming path.  One lookup per distinct subset is shared by all
-    its itemsets.  This is the ``"loops"`` backend; the ``"bitmap"``
-    backend lives in :mod:`repro.mining.kernels`.
-    """
-    if n_records == 0:
-        raise MiningError("cannot count supports of an empty dataset")
-    cache: dict[tuple[int, ...], np.ndarray] = {}
-    supports = np.empty(len(itemsets))
-    cards = schema.cardinalities
-    for i, itemset in enumerate(itemsets):
-        attrs = itemset.attributes
-        counts = cache.get(attrs)
-        if counts is None:
-            counts = subset_counts(attrs)
-            cache[attrs] = counts
-        dims = [cards[a] for a in attrs]
-        cell = int(np.ravel_multi_index(itemset.values, dims=dims))
-        supports[i] = counts[cell] / n_records
-    return supports
-
-
-def _subset_support_lookup(dataset: CategoricalDataset, itemsets) -> np.ndarray:
-    """Fractional support of each itemset by direct dataset counting."""
-    return supports_from_subset_counts(
-        dataset.schema, dataset.n_records, dataset.subset_counts, itemsets
-    )
-
-
-def reconstruct_gamma_diagonal_supports(
-    schema: Schema, observed: np.ndarray, itemsets, gamma: float
-) -> np.ndarray:
-    """Eq.-28 closed-form estimates from observed subset supports.
-
-    Shared by the dataset-backed estimator and the streaming
-    accumulated-count estimators; one vectorized pass over the whole
-    candidate batch (estimates may be negative for rare itemsets).
-    """
-    itemsets = list(itemsets)
-    subset_sizes = np.fromiter(
-        (schema.subset_size(itemset.attributes) for itemset in itemsets),
-        dtype=np.int64,
-        count=len(itemsets),
-    )
-    return estimate_subset_supports_batch(
-        observed, gamma, schema.joint_size, subset_sizes
-    )
-
-
 class ExactSupportCounter:
-    """True fractional supports on an unperturbed dataset.
+    """Observed supports and sub-domain counts of one record source.
 
     Parameters
     ----------
-    dataset:
-        The categorical dataset to count over.
+    data:
+        A categorical dataset (original or perturbed), a
+        :class:`~repro.pipeline.JointCountAccumulator` or a
+        :class:`~repro.pipeline.BitmapAccumulator`.
     count_backend:
-        ``"bitmap"`` (default) counts through the packed AND/popcount
-        kernel, built lazily on first use; ``"native"`` counts the same
-        bitmaps with the compiled threaded kernels (resolved through
-        :func:`repro.mining.kernels.resolve_backend`); ``"loops"``
-        keeps the per-subset ``bincount`` path.  All return identical
-        values.
+        ``"bitmap"`` (default) counts itemset supports through the
+        packed AND/popcount kernel, built lazily on first use;
+        ``"native"`` counts the same bitmaps with the compiled threaded
+        kernels (resolved through
+        :func:`repro.mining.kernels.resolve_backend`) and also answers
+        ``subset_counts`` from them; ``"loops"`` keeps the per-subset
+        ``bincount`` path.  Joint-count accumulators always count on
+        ``"loops"`` and bitmap accumulators on a bitmap backend.  All
+        routes return identical values.
     """
 
-    def __init__(self, dataset: CategoricalDataset, count_backend: str = "bitmap"):
-        self.dataset = dataset
-        self.count_backend = resolve_backend(count_backend)
-        self._bitmap_counter: BitmapSupportCounter | None = None
+    def __init__(self, data, count_backend: str = "bitmap"):
+        from repro.pipeline.accumulator import BitmapAccumulator, JointCountAccumulator
+
+        backend = validate_backend(count_backend)
+        self._folded_bitmaps = isinstance(data, BitmapAccumulator)
+        if isinstance(data, JointCountAccumulator):
+            backend = "loops"
+        elif self._folded_bitmaps and backend == "loops":
+            backend = "bitmap"
+        self.data = data
+        self.schema: Schema = data.schema
+        self.count_backend = resolve_backend(backend)
+        self._bitmaps: TransactionBitmaps | None = None
+        self._counter: BitmapSupportCounter | None = None
+
+    def _packed(self) -> TransactionBitmaps:
+        if self._folded_bitmaps:
+            return self.data.bitmaps
+        if self._bitmaps is None:
+            self._bitmaps = TransactionBitmaps.from_dataset(self.data)
+        return self._bitmaps
+
+    def subset_counts(self, attrs) -> np.ndarray:
+        """Count vector over an attribute subset's sub-domain."""
+        if self._folded_bitmaps or self.count_backend == "native":
+            return self._packed().subset_counts(attrs, backend=self.count_backend)
+        return self.data.subset_counts(attrs)
 
     def supports(self, itemsets) -> np.ndarray:
         """Fraction of records supporting each itemset."""
         itemsets = list(itemsets)
+        n_records = self.data.n_records
+        if n_records == 0:
+            raise MiningError("cannot count supports of an empty dataset")
         if self.count_backend in BITMAP_BACKENDS:
-            if self._bitmap_counter is None:
-                self._bitmap_counter = BitmapSupportCounter.from_dataset(
-                    self.dataset, backend=self.count_backend
+            bitmaps = self._packed()
+            # A bitmap accumulator re-merges after every fold: a fresh
+            # `bitmaps` object means the counter's level cache is stale.
+            if self._counter is None or self._counter.bitmaps is not bitmaps:
+                self._counter = BitmapSupportCounter(
+                    bitmaps, backend=self.count_backend
                 )
-            return self._bitmap_counter.supports(itemsets)
-        return _subset_support_lookup(self.dataset, itemsets)
+            return self._counter.supports(itemsets)
+        # One sub-domain count per distinct subset, shared by its itemsets.
+        cache: dict[tuple[int, ...], np.ndarray] = {}
+        supports = np.empty(len(itemsets))
+        cards = self.schema.cardinalities
+        for i, itemset in enumerate(itemsets):
+            attrs = itemset.attributes
+            counts = cache.get(attrs)
+            if counts is None:
+                counts = cache[attrs] = self.subset_counts(attrs)
+            dims = [cards[a] for a in attrs]
+            cell = int(np.ravel_multi_index(itemset.values, dims=dims))
+            supports[i] = counts[cell] / n_records
+        return supports
 
 
 class GammaDiagonalSupportEstimator:
@@ -155,7 +153,9 @@ class GammaDiagonalSupportEstimator:
     Parameters
     ----------
     perturbed:
-        The gamma-diagonal-perturbed dataset (still categorical).
+        The gamma-diagonal-perturbed records: a dataset, or the
+        joint-count / bitmap accumulator a
+        :class:`~repro.pipeline.PerturbationPipeline` folded them into.
     gamma:
         The amplification bound used at perturbation time.  RAN-GD uses
         the same estimator because ``E[Ã]`` equals the deterministic
@@ -165,13 +165,9 @@ class GammaDiagonalSupportEstimator:
         inverse is the same closed form either way).
     """
 
-    def __init__(
-        self,
-        perturbed: CategoricalDataset,
-        gamma: float,
-        count_backend: str = "bitmap",
-    ):
+    def __init__(self, perturbed, gamma: float, count_backend: str = "bitmap"):
         self.perturbed = perturbed
+        self.schema: Schema = perturbed.schema
         self.gamma = float(gamma)
         self._observed = ExactSupportCounter(perturbed, count_backend)
 
@@ -184,25 +180,41 @@ class GammaDiagonalSupportEstimator:
         """Eq.-28 closed-form estimates; may be negative for rare sets."""
         itemsets = list(itemsets)
         observed = self._observed.supports(itemsets)
-        return reconstruct_gamma_diagonal_supports(
-            self.perturbed.schema, observed, itemsets, self.gamma
+        subset_sizes = np.fromiter(
+            (self.schema.subset_size(itemset.attributes) for itemset in itemsets),
+            dtype=np.int64,
+            count=len(itemsets),
+        )
+        return estimate_subset_supports_batch(
+            observed, self.gamma, self.schema.joint_size, subset_sizes
         )
 
 
 class _BitMatrixEstimator:
-    """Shared observed side of the MASK and C&P estimators.
+    """Reconstructed supports from MASK- or C&P-perturbed boolean data.
 
-    Both reconstruct from an ``(N, M_b)`` perturbed bit matrix.  On the
-    ``"bitmap"``/``"native"`` backends :meth:`_pattern_counts` packs the
-    matrix into :class:`~repro.mining.kernels.TransactionBitmaps` once,
-    on first use, and answers each candidate from
-    :func:`~repro.mining.kernels.pattern_counts` instead of re-scanning
-    the bit matrix; it returns ``None`` on ``"loops"`` and for
-    candidates wider than ``MAX_PATTERN_BITS``, where the subclass runs
-    its operator's loop-path estimate (the equivalence oracle).
+    Both baselines release an ``(N, M_b)`` bit matrix and reconstruct
+    each candidate from the observed distribution of its bit patterns.
+    On the ``"bitmap"``/``"native"`` backends the matrix is packed into
+    :class:`~repro.mining.kernels.TransactionBitmaps` once, on first
+    use, each candidate's ``2^k`` pattern counts come from
+    :func:`~repro.mining.kernels.pattern_counts` (superset popcounts + a
+    Möbius transform), and the operator's ``support_from_pattern_counts``
+    solves them: MASK's tensor-power system, or C&P's partial-support
+    system on the popcount-binned histogram.  On ``"loops"`` and for
+    candidates wider than ``MAX_PATTERN_BITS`` the operator's own
+    ``estimate_itemset_support`` re-scans the bit matrix instead (the
+    equivalence oracle).  The integer counts are equal on every backend,
+    so estimates are identical.
     """
 
-    def __init__(self, schema: Schema, perturbed_bits, count_backend: str):
+    def __init__(
+        self,
+        schema: Schema,
+        perturbed_bits,
+        operator,
+        count_backend: str = "bitmap",
+    ):
         perturbed_bits = np.asarray(perturbed_bits)
         if perturbed_bits.ndim != 2 or perturbed_bits.shape[1] != schema.n_boolean:
             raise DataError(
@@ -211,100 +223,37 @@ class _BitMatrixEstimator:
             )
         self.schema = schema
         self.perturbed_bits = perturbed_bits
+        self.operator = operator
         self.count_backend = resolve_backend(count_backend)
         self._bitmaps: TransactionBitmaps | None = None
 
-    def _pattern_counts(self, positions) -> np.ndarray | None:
+    def _estimate(self, positions) -> float:
         if (
             self.count_backend not in BITMAP_BACKENDS
             or len(positions) > MAX_PATTERN_BITS
         ):
-            return None
+            return self.operator.estimate_itemset_support(
+                self.perturbed_bits, positions
+            )
         if self.perturbed_bits.shape[0] == 0:
             raise DataError("empty perturbed database")
         if self._bitmaps is None:
             self._bitmaps = TransactionBitmaps.from_boolean_matrix(
                 self.schema, self.perturbed_bits
             )
-        return pattern_counts(self._bitmaps, positions, backend=self.count_backend)
-
-
-class MaskSupportEstimator(_BitMatrixEstimator):
-    """Reconstructed supports from MASK-perturbed boolean data.
-
-    With ``count_backend="bitmap"`` the observed pattern distribution of
-    each candidate is computed from packed bit columns (superset
-    popcounts + a Möbius transform, see
-    :func:`repro.mining.kernels.pattern_counts`) instead of re-scanning
-    the ``(N, M_b)`` bit matrix per candidate; the tensor-power solve is
-    shared, so estimates are identical.
-    """
-
-    def __init__(
-        self,
-        schema: Schema,
-        perturbed_bits: np.ndarray,
-        mask: MaskPerturbation,
-        count_backend: str = "bitmap",
-    ):
-        super().__init__(schema, perturbed_bits, count_backend)
-        self.mask = mask
+        return self.operator.support_from_pattern_counts(
+            pattern_counts(self._bitmaps, positions, backend=self.count_backend)
+        )
 
     def supports(self, itemsets) -> np.ndarray:
-        """Tensor-power reconstruction per candidate (paper Section 7)."""
-        itemsets = list(itemsets)
-        n_records = self.perturbed_bits.shape[0]
-        estimates = np.empty(len(itemsets))
-        for i, itemset in enumerate(itemsets):
-            positions = itemset.boolean_positions(self.schema)
-            observed = self._pattern_counts(positions)
-            if observed is None:
-                estimates[i] = self.mask.estimate_itemset_support(
-                    self.perturbed_bits, positions
-                )
-            else:
-                solved = self.mask.solve_pattern_counts(observed.astype(float))
-                estimates[i] = float(solved[-1] / n_records)
-        return estimates
-
-
-class CutAndPasteSupportEstimator(_BitMatrixEstimator):
-    """Reconstructed supports from C&P-perturbed boolean data.
-
-    The partial-support system consumes the distribution of per-record
-    set-bit counts over the candidate's columns.  With
-    ``count_backend="bitmap"`` (or ``"native"``) that histogram is the
-    candidate's :func:`repro.mining.kernels.pattern_counts` binned by
-    popcount (:func:`repro.mining.kernels.intersection_counts`); with
-    ``"loops"`` it is sliced and ``bincount``-ed from the bit matrix.
-    The integer histograms are equal and both paths solve the same
-    partial-support system (the bitmap path against one matrix per
-    itemset length), so estimates are identical across backends.
-    """
-
-    def __init__(
-        self,
-        schema: Schema,
-        perturbed_bits: np.ndarray,
-        operator: CutAndPastePerturbation,
-        count_backend: str = "bitmap",
-    ):
-        super().__init__(schema, perturbed_bits, count_backend)
-        self.operator = operator
-
-    def supports(self, itemsets) -> np.ndarray:
-        """Partial-support-system reconstruction per candidate."""
+        """Per-candidate reconstruction through the operator's solver."""
         itemsets = list(itemsets)
         estimates = np.empty(len(itemsets))
         for i, itemset in enumerate(itemsets):
-            positions = itemset.boolean_positions(self.schema)
-            observed = self._pattern_counts(positions)
-            if observed is None:
-                estimates[i] = self.operator.estimate_itemset_support(
-                    self.perturbed_bits, positions
-                )
-            else:
-                estimates[i] = self.operator.solve_intersection_counts(
-                    intersection_counts(observed)
-                )
+            estimates[i] = self._estimate(itemset.boolean_positions(self.schema))
         return estimates
+
+
+#: Legacy names of the bit-matrix estimator (one class, not subclasses).
+MaskSupportEstimator = _BitMatrixEstimator
+CutAndPasteSupportEstimator = _BitMatrixEstimator

@@ -4,23 +4,26 @@ Everything the miner needs from a gamma-diagonal-perturbed database is
 its joint-count vector ``Y``: full-domain reconstruction is
 ``X̂ = A^{-1} Y`` (paper Eq. 8) and any itemset support over an
 attribute subset follows from marginals of ``Y`` through Eq. 28.  The
-functions here take the :class:`JointCountAccumulator` produced by a
-:class:`~repro.pipeline.executor.PerturbationPipeline` and feed it into
-the existing solvers, so the full perturb -> reconstruct -> mine loop
-runs over datasets larger than memory:
+functions here take the accumulators produced by a
+:class:`~repro.pipeline.executor.PerturbationPipeline` and feed them
+into the existing solvers, so the full perturb -> reconstruct -> mine
+loop runs over datasets larger than memory:
 
 * :func:`reconstruct_stream` -- accumulated ``Y`` through the
   closed-form / least-squares / EM solvers of
   :mod:`repro.core.reconstruction`;
-* :class:`AccumulatedSupportEstimator` -- an Apriori ``SupportSource``
-  answering Eq.-28 subset queries from the accumulated vector alone
-  (numerically identical to
-  :class:`~repro.mining.counting.GammaDiagonalSupportEstimator` on the
-  materialised perturbed dataset, because joint counts determine every
-  subset count);
 * :func:`mine_stream` -- the end-to-end convenience: chunked
-  perturbation, count accumulation, and Apriori over reconstructed
-  supports.
+  perturbation, count or bitmap accumulation, and Apriori over
+  reconstructed supports.
+
+Support estimation itself is the one path of
+:mod:`repro.mining.counting`: the observed-count source
+(:class:`~repro.mining.counting.ExactSupportCounter`) counts on a
+:class:`JointCountAccumulator` or :class:`BitmapAccumulator` as it does
+on a dataset, and
+:class:`~repro.mining.counting.GammaDiagonalSupportEstimator` inverts
+Eq. 28 on top.  ``AccumulatedSupportEstimator`` and
+``BitmapStreamSupportEstimator`` are legacy aliases of that class.
 """
 
 from __future__ import annotations
@@ -31,17 +34,9 @@ from repro.core.engine import GammaDiagonalPerturbation
 from repro.core.gamma_diagonal import GammaDiagonalMatrix
 from repro.core.reconstruction import clip_counts, reconstruct_counts
 from repro.data.schema import Schema
-from repro.exceptions import MiningError
 from repro.mining.apriori import AprioriResult, apriori
-from repro.mining.counting import (
-    reconstruct_gamma_diagonal_supports,
-    supports_from_subset_counts,
-)
-from repro.mining.kernels import (
-    BitmapSupportCounter,
-    resolve_backend,
-    validate_backend,
-)
+from repro.mining.counting import GammaDiagonalSupportEstimator
+from repro.mining.kernels import validate_backend
 from repro.mining.kernels.counting import BITMAP_BACKENDS
 from repro.pipeline.accumulator import BitmapAccumulator, JointCountAccumulator
 from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE
@@ -68,85 +63,9 @@ def reconstruct_stream(
     return clip_counts(estimates) if clip else estimates
 
 
-class AccumulatedSupportEstimator:
-    """Eq.-28 support estimates from accumulated perturbed counts.
-
-    Parameters
-    ----------
-    accumulator:
-        Joint counts of the *perturbed* stream.
-    gamma:
-        The amplification bound used at perturbation time (RAN-GD
-        streams reconstruct with the same value because ``E[Ã] = A``).
-    """
-
-    def __init__(self, accumulator: JointCountAccumulator, gamma: float):
-        self.accumulator = accumulator
-        self.schema = accumulator.schema
-        self.gamma = float(gamma)
-
-    def supports(self, itemsets) -> np.ndarray:
-        """Reconstructed fractional supports; may be negative for rare sets."""
-        itemsets = list(itemsets)
-        if self.accumulator.n_records == 0:
-            raise MiningError("cannot estimate supports from an empty stream")
-        observed = supports_from_subset_counts(
-            self.schema,
-            self.accumulator.n_records,
-            self.accumulator.subset_counts,
-            itemsets,
-        )
-        return reconstruct_gamma_diagonal_supports(
-            self.schema, observed, itemsets, self.gamma
-        )
-
-
-class BitmapStreamSupportEstimator:
-    """Eq.-28 support estimates from bitmap-accumulated perturbed chunks.
-
-    The kernel-backed sibling of :class:`AccumulatedSupportEstimator`:
-    observed supports come from packed AND/popcount over the accumulated
-    perturbed bitmaps instead of joint-count marginalisation, then go
-    through the same closed-form inverse -- so for identical perturbed
-    records the two estimators return identical floats.  Memory is
-    ``O(N * M_b / 8)`` versus the count vector's ``O(|S_U|)``; prefer
-    this when the joint domain dwarfs the (packed) record stream or when
-    per-level counting speed dominates.
-
-    ``count_backend`` selects the word kernels: ``"bitmap"`` (NumPy)
-    or ``"native"`` (compiled threaded AND+popcount; degrades to
-    ``"bitmap"`` when the extension is absent).  Identical estimates.
-    """
-
-    def __init__(
-        self,
-        accumulator: BitmapAccumulator,
-        gamma: float,
-        count_backend: str = "bitmap",
-    ):
-        self.accumulator = accumulator
-        self.schema = accumulator.schema
-        self.gamma = float(gamma)
-        self.count_backend = resolve_backend(count_backend)
-        self._counter: BitmapSupportCounter | None = None
-
-    def supports(self, itemsets) -> np.ndarray:
-        """Reconstructed fractional supports; may be negative for rare sets."""
-        itemsets = list(itemsets)
-        if self.accumulator.n_records == 0:
-            raise MiningError("cannot estimate supports from an empty stream")
-        # Re-merge on demand: folding more chunks into the accumulator
-        # invalidates its cached merge, so a fresh `bitmaps` object
-        # signals that the counter (and its level cache) is stale.
-        bitmaps = self.accumulator.bitmaps
-        if self._counter is None or self._counter.bitmaps is not bitmaps:
-            self._counter = BitmapSupportCounter(
-                bitmaps, backend=self.count_backend
-            )
-        observed = self._counter.supports(itemsets)
-        return reconstruct_gamma_diagonal_supports(
-            self.schema, observed, itemsets, self.gamma
-        )
+#: Legacy names: the Eq.-28 estimator counts on accumulators directly.
+AccumulatedSupportEstimator = GammaDiagonalSupportEstimator
+BitmapStreamSupportEstimator = GammaDiagonalSupportEstimator
 
 
 def stream_perturbed_counts(
@@ -214,26 +133,12 @@ def mine_stream(
     """
     if engine is None:
         engine = GammaDiagonalPerturbation(schema, gamma)
+    pipeline = PerturbationPipeline(
+        engine, chunk_size=chunk_size, workers=workers, dispatch=dispatch
+    )
     if validate_backend(count_backend) in BITMAP_BACKENDS:
-        bitmap_accumulator = stream_perturbed_bitmaps(
-            source,
-            engine,
-            chunk_size=chunk_size,
-            workers=workers,
-            seed=seed,
-            dispatch=dispatch,
-        )
-        estimator = BitmapStreamSupportEstimator(
-            bitmap_accumulator, gamma, count_backend=count_backend
-        )
+        accumulated = pipeline.accumulate_bitmaps(source, seed=seed)
     else:
-        accumulator = stream_perturbed_counts(
-            source,
-            engine,
-            chunk_size=chunk_size,
-            workers=workers,
-            seed=seed,
-            dispatch=dispatch,
-        )
-        estimator = AccumulatedSupportEstimator(accumulator, gamma)
+        accumulated = pipeline.accumulate(source, seed=seed)
+    estimator = GammaDiagonalSupportEstimator(accumulated, gamma, count_backend)
     return apriori(estimator, schema, min_support, max_length)

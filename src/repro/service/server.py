@@ -82,6 +82,7 @@ from repro.exceptions import FrappError, ServiceError
 from repro.mechanisms import MechanismSpec, PrivacyAccountant, from_spec
 from repro.mechanisms.base import MarginalInversionEstimator
 from repro.mining.apriori import apriori
+from repro.mining.counting import ExactSupportCounter
 from repro.pipeline.batch import SequentialPerturbStream
 from repro.service import wire
 from repro.service.batcher import (
@@ -255,21 +256,10 @@ class CollectionRuntime:
                 code="empty_collection",
                 status=409,
             )
-        import functools
-
-        from repro.mining.kernels import TransactionBitmaps, resolve_backend
-
         dataset = self.spool.to_dataset()
-        backend = resolve_backend(self._service.config.count_backend)
-        if backend == "native":
-            bitmaps = TransactionBitmaps.from_dataset(dataset)
-            return MarginalInversionEstimator(
-                self.mechanism,
-                functools.partial(bitmaps.subset_counts, backend=backend),
-                dataset.n_records,
-            )
+        counter = ExactSupportCounter(dataset, self._service.config.count_backend)
         return MarginalInversionEstimator(
-            self.mechanism, dataset.subset_counts, dataset.n_records
+            self.mechanism, counter.subset_counts, dataset.n_records
         )
 
     def close(self) -> None:

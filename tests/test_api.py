@@ -119,6 +119,105 @@ class TestModuleFunctions:
         assert result.n_frequent > 0
 
 
+class TestBitMatrixReconstruct:
+    """MASK and C&P sessions reconstruct their own bit-matrix release."""
+
+    @pytest.mark.parametrize("name", ["mask", "c&p"])
+    def test_reconstruct_matches_build_estimator(self, data, name):
+        from repro.mining.itemsets import Itemset
+
+        session = api.Session(
+            data.schema, mechanism=name, params={"gamma": 19.0}, seed=7
+        )
+        items = [Itemset([(0, 1)]), Itemset([(1, 2), (2, 0)])]
+        released = session.perturb(data)
+        estimator = session.mechanism.build_estimator(data, seed=session.seed)
+        expected = estimator.supports(items)
+        np.testing.assert_array_equal(session.reconstruct(released, items), expected)
+        one_shot = api.reconstruct(
+            released,
+            items,
+            schema=data.schema,
+            mechanism=name,
+            params={"gamma": 19.0},
+        )
+        np.testing.assert_array_equal(one_shot, expected)
+
+
+#: Factory arguments for registered mechanisms that take no ``gamma``.
+_NON_GAMMA_PARAMS = {
+    "additive-noise": {"scale": 1.5},
+    "composite": {
+        "parts": [
+            {"name": "det-gd", "n_attributes": 3, "params": {"gamma": 19.0}},
+            {"name": "ran-gd", "n_attributes": 3, "params": {"gamma": 19.0}},
+        ]
+    },
+}
+
+
+def _census_sessions():
+    """A seeded session for every registered mechanism that fits CENSUS."""
+    from repro.data import census_schema
+    from repro.exceptions import FrappError
+    from repro.mechanisms import registry
+
+    found = []
+    for name in registry.available():
+        params = _NON_GAMMA_PARAMS.get(name, {"gamma": 19.0})
+        try:
+            api.Session(census_schema(), mechanism=name, params=params)
+        except FrappError:
+            continue  # e.g. WARNER needs a single binary attribute
+        found.append(pytest.param(name, params, id=name))
+    return found
+
+
+class TestReconstructAndMineInputContract:
+    """``reconstruct`` and ``mine`` give the same answer for any input form."""
+
+    @pytest.mark.parametrize(("name", "params"), _census_sessions())
+    def test_reconstruct_itemset_forms(self, data, name, params):
+        from repro.mining.itemsets import Itemset
+
+        session = api.Session(data.schema, mechanism=name, params=params, seed=3)
+        released = session.perturb(data)
+        itemsets = [
+            Itemset.of((0, 1)),
+            Itemset.of((5, 0)),
+            Itemset.of((0, 0), (3, 2)),
+            Itemset.of((1, 1), (2, 0), (4, 1)),
+        ]
+        # The generator goes first, so nothing can be reused from a
+        # previous call on the same itemsets.
+        from_generator = session.reconstruct(released, (i for i in itemsets))
+        expected = session.reconstruct(released, itemsets)
+        assert expected.shape == (len(itemsets),)
+        np.testing.assert_array_equal(from_generator, expected)
+        for form in (
+            tuple(itemsets),
+            iter(itemsets),
+            [list(itemset.items) for itemset in itemsets],
+        ):
+            np.testing.assert_array_equal(session.reconstruct(released, form), expected)
+        doubled = session.reconstruct(released, itemsets + itemsets[::-1])
+        np.testing.assert_array_equal(
+            doubled, np.concatenate([expected, expected[::-1]])
+        )
+        assert session.reconstruct(released, []).shape == (0,)
+        assert session.reconstruct(released, iter(())).shape == (0,)
+
+    @pytest.mark.parametrize(("name", "params"), _census_sessions())
+    def test_mine_record_forms(self, data, name, params):
+        session = api.Session(data.schema, mechanism=name, params=params, seed=3)
+        records = np.asarray(data.records)
+        results = [
+            session.mine(form, 0.1, max_length=2).frequent()
+            for form in (data, records, records.tolist())
+        ]
+        assert results[0] == results[1] == results[2]
+
+
 class TestConnect:
     def test_address_forms(self):
         client = api.connect("http://10.0.0.5:9000/")

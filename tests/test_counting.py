@@ -201,3 +201,54 @@ class TestSupportsInputContract:
     @pytest.mark.parametrize("mechanism", _paper_mechanisms())
     def test_mechanism_estimator(self, census_sample, mechanism):
         _assert_input_contract(mechanism.build_estimator(census_sample, seed=3))
+
+
+# ----------------------------------------------------------------------
+# one observed-count source, and the legacy estimator names
+# ----------------------------------------------------------------------
+class TestCountSource:
+    """Accumulators count exactly like the dataset they were folded from."""
+
+    @pytest.mark.parametrize("backend", ["loops", "bitmap"])
+    def test_accumulators_match_dataset(self, census_sample, backend):
+        from repro.pipeline import BitmapAccumulator, JointCountAccumulator
+
+        schema = census_sample.schema
+        itemsets = all_items(schema) + _contract_itemsets()
+        expected = ExactSupportCounter(census_sample, backend).supports(itemsets)
+        for accumulator in (
+            JointCountAccumulator(schema).update(census_sample),
+            BitmapAccumulator(schema).update(census_sample),
+        ):
+            counter = ExactSupportCounter(accumulator, backend)
+            assert np.array_equal(counter.supports(itemsets), expected)
+            for attrs in [(0,), (1, 3), (0, 2, 5)]:
+                assert np.array_equal(
+                    counter.subset_counts(attrs), census_sample.subset_counts(attrs)
+                )
+
+    def test_accumulators_pin_their_backend(self):
+        from repro.pipeline import BitmapAccumulator, JointCountAccumulator
+
+        schema = census_schema()
+        joint = ExactSupportCounter(JointCountAccumulator(schema), "bitmap")
+        assert joint.count_backend == "loops"
+        bitmaps = ExactSupportCounter(BitmapAccumulator(schema), "loops")
+        assert bitmaps.count_backend == "bitmap"
+
+
+class TestRetiredNames:
+    """Legacy estimator names are the surviving classes, not subclasses."""
+
+    def test_aliases_are_the_surviving_classes(self):
+        import repro
+        from repro.pipeline import streaming
+
+        assert streaming.AccumulatedSupportEstimator is GammaDiagonalSupportEstimator
+        assert streaming.BitmapStreamSupportEstimator is GammaDiagonalSupportEstimator
+        assert repro.AccumulatedSupportEstimator is GammaDiagonalSupportEstimator
+        assert repro.BitmapStreamSupportEstimator is GammaDiagonalSupportEstimator
+        assert MaskSupportEstimator is CutAndPasteSupportEstimator
+        # Each surviving class defines `supports` itself.
+        for cls in (GammaDiagonalSupportEstimator, MaskSupportEstimator):
+            assert "supports" in cls.__dict__

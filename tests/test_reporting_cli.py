@@ -335,35 +335,20 @@ class TestUnifiedKnobs:
         )
 
     @pytest.mark.parametrize(
-        ("alias", "value", "dest", "expected"),
+        ("alias", "value"),
         [
-            ("--num-workers", "3", "workers", 3),
-            ("--chunksize", "128", "chunk_size", 128),
-            ("--counting-backend", "loops", "count_backend", "loops"),
-            ("--dispatch-mode", "shm", "dispatch", "shm"),
-            ("--n-jobs", "2", "jobs", 2),
+            ("--num-workers", "3"),
+            ("--chunksize", "128"),
+            ("--counting-backend", "loops"),
+            ("--dispatch-mode", "shm"),
+            ("--n-jobs", "2"),
         ],
     )
-    def test_deprecated_aliases_warn_and_forward(
-        self, alias, value, dest, expected
-    ):
-        # FutureWarning, not DeprecationWarning: the latter is ignored
-        # by default, and these warnings target shell users.
-        with pytest.warns(FutureWarning, match="deprecated"):
-            args = build_parser().parse_args(["table1", alias, value])
-        assert getattr(args, dest) == expected
-
-    def test_aliases_hidden_from_help(self, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        text = build_parser().format_help()
-        for alias in (
-            "--num-workers",
-            "--chunksize",
-            "--counting-backend",
-            "--dispatch-mode",
-            "--n-jobs",
-        ):
-            assert alias not in text
+    def test_retired_spellings_rejected(self, alias, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["table1", alias, value])
+        assert excinfo.value.code == 2
+        assert alias in capsys.readouterr().err
 
     def test_canonical_spellings_still_parse(self):
         args = build_parser().parse_args(
