@@ -480,25 +480,43 @@ class MarginalInversionEstimator:
 
     def supports(self, itemsets) -> np.ndarray:
         """Reconstructed fractional supports; may be negative for rare sets."""
-        itemsets = list(itemsets)
+        from repro.mining.itemsets import level_groups, row_keys
+
+        n, groups = level_groups(itemsets, self.schema)
         if self.n_records == 0:
             raise MiningError("cannot estimate supports of an empty database")
         cards = self.schema.cardinalities
-        estimates = np.empty(len(itemsets))
-        for i, itemset in enumerate(itemsets):
-            attrs = itemset.attributes
-            solved = self._solved.get(attrs)
-            if solved is None:
-                observed = np.asarray(self._subset_counts(attrs), dtype=float)
-                matrix = self.mechanism.marginal_operator(attrs)
-                if self.solver is not None:
-                    solved = self.solver.solve(matrix, observed)
-                elif isinstance(matrix, np.ndarray):
-                    solved = np.linalg.solve(matrix, observed)
-                else:
-                    solved = matrix.solve(observed)
-                self._solved[attrs] = solved
-            dims = [cards[a] for a in attrs]
-            cell = int(np.ravel_multi_index(itemset.values, dims=dims))
-            estimates[i] = solved[cell] / self.n_records
+        estimates = np.empty(n)
+        for positions, level in groups:
+            attributes, values = level.attributes, level.values
+            # One solve and one cell lookup per attribute subset, taken
+            # in order of first appearance as the per-itemset loop did.
+            _, first, inverse = np.unique(
+                row_keys(attributes, len(cards)),
+                return_index=True,
+                return_inverse=True,
+            )
+            for subset in np.argsort(first, kind="stable"):
+                members = np.flatnonzero(inverse == subset)
+                attrs = tuple(attributes[first[subset]].tolist())
+                solved = self._solve(attrs)
+                cells = np.ravel_multi_index(
+                    tuple(values[members].T), dims=[cards[a] for a in attrs]
+                )
+                estimates[positions[members]] = solved[cells] / self.n_records
         return estimates
+
+    def _solve(self, attrs: tuple[int, ...]) -> np.ndarray:
+        """The solved sub-domain count vector over ``attrs`` (cached)."""
+        solved = self._solved.get(attrs)
+        if solved is None:
+            observed = np.asarray(self._subset_counts(attrs), dtype=float)
+            matrix = self.mechanism.marginal_operator(attrs)
+            if self.solver is not None:
+                solved = self.solver.solve(matrix, observed)
+            elif isinstance(matrix, np.ndarray):
+                solved = np.linalg.solve(matrix, observed)
+            else:
+                solved = matrix.solve(observed)
+            self._solved[attrs] = solved
+        return solved

@@ -23,8 +23,9 @@ source and one solver step per mechanism:
   inverse, whichever of the three sources it counts on;
 * the bit-matrix estimator (``MaskSupportEstimator`` and
   ``CutAndPasteSupportEstimator`` are the same class) -- MASK and C&P:
-  per-candidate pattern counts of an ``(N, M_b)`` perturbed bit matrix,
-  solved by the operator's own ``support_from_pattern_counts``;
+  level-batched pattern counts of an ``(N, M_b)`` perturbed bit matrix,
+  solved per candidate by the operator's own
+  ``support_from_pattern_counts``;
 * :class:`repro.mechanisms.base.MarginalInversionEstimator` -- every
   other columnar mechanism, over the counter's ``subset_counts``.
 
@@ -49,6 +50,13 @@ Observed counts come from one of three backends, selected with
 The backends produce *identical* integer counts (and therefore
 bit-identical supports); the estimator outputs follow the same
 closed forms either way.
+
+Every source accepts any iterable of itemsets: an Apriori level
+(:class:`~repro.mining.itemsets.ItemsetLevel`) is used as it is, and
+anything else is split into per-length levels by
+:func:`~repro.mining.itemsets.level_groups` with results scattered back
+to input order -- except on ``"loops"``, which stays the per-itemset
+oracle.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ import numpy as np
 from repro.core.marginal import estimate_subset_supports_batch
 from repro.data.schema import Schema
 from repro.exceptions import DataError, MiningError
+from repro.mining.itemsets import ItemsetLevel, level_groups
 from repro.mining.kernels import (
     BitmapSupportCounter,
     TransactionBitmaps,
@@ -119,7 +128,6 @@ class ExactSupportCounter:
 
     def supports(self, itemsets) -> np.ndarray:
         """Fraction of records supporting each itemset."""
-        itemsets = list(itemsets)
         n_records = self.data.n_records
         if n_records == 0:
             raise MiningError("cannot count supports of an empty dataset")
@@ -132,6 +140,7 @@ class ExactSupportCounter:
                     bitmaps, backend=self.count_backend
                 )
             return self._counter.supports(itemsets)
+        itemsets = list(itemsets)
         # One sub-domain count per distinct subset, shared by its itemsets.
         cache: dict[tuple[int, ...], np.ndarray] = {}
         supports = np.empty(len(itemsets))
@@ -178,13 +187,12 @@ class GammaDiagonalSupportEstimator:
 
     def supports(self, itemsets) -> np.ndarray:
         """Eq.-28 closed-form estimates; may be negative for rare sets."""
-        itemsets = list(itemsets)
+        if not isinstance(itemsets, ItemsetLevel):
+            itemsets = list(itemsets)
         observed = self._observed.supports(itemsets)
-        subset_sizes = np.fromiter(
-            (self.schema.subset_size(itemset.attributes) for itemset in itemsets),
-            dtype=np.int64,
-            count=len(itemsets),
-        )
+        subset_sizes = np.empty(len(observed), dtype=np.int64)
+        for positions, level in level_groups(itemsets, self.schema)[1]:
+            subset_sizes[positions] = level.subset_sizes()
         return estimate_subset_supports_batch(
             observed, self.gamma, self.schema.joint_size, subset_sizes
         )
@@ -197,12 +205,13 @@ class _BitMatrixEstimator:
     each candidate from the observed distribution of its bit patterns.
     On the ``"bitmap"``/``"native"`` backends the matrix is packed into
     :class:`~repro.mining.kernels.TransactionBitmaps` once, on first
-    use, each candidate's ``2^k`` pattern counts come from
-    :func:`~repro.mining.kernels.pattern_counts` (superset popcounts + a
-    Möbius transform), and the operator's ``support_from_pattern_counts``
-    solves them: MASK's tensor-power system, or C&P's partial-support
-    system on the popcount-binned histogram.  On ``"loops"`` and for
-    candidates wider than ``MAX_PATTERN_BITS`` the operator's own
+    use; each length group's ``(n, 2^k)`` pattern counts come from one
+    :func:`~repro.mining.kernels.pattern_counts` call (superset
+    popcounts + a Möbius transform), and the operator's
+    ``support_from_pattern_counts`` solves each candidate's row: MASK's
+    tensor-power system, or C&P's partial-support system on the
+    popcount-binned histogram.  On ``"loops"`` and for candidates wider
+    than ``MAX_PATTERN_BITS`` the operator's own
     ``estimate_itemset_support`` re-scans the bit matrix instead (the
     equivalence oracle).  The integer counts are equal on every backend,
     so estimates are identical.
@@ -227,30 +236,31 @@ class _BitMatrixEstimator:
         self.count_backend = resolve_backend(count_backend)
         self._bitmaps: TransactionBitmaps | None = None
 
-    def _estimate(self, positions) -> float:
+    def _estimate_level(self, rows: np.ndarray) -> list[float]:
         if (
             self.count_backend not in BITMAP_BACKENDS
-            or len(positions) > MAX_PATTERN_BITS
+            or rows.shape[1] > MAX_PATTERN_BITS
         ):
-            return self.operator.estimate_itemset_support(
-                self.perturbed_bits, positions
-            )
+            return [
+                self.operator.estimate_itemset_support(self.perturbed_bits, positions)
+                for positions in rows.tolist()
+            ]
         if self.perturbed_bits.shape[0] == 0:
             raise DataError("empty perturbed database")
         if self._bitmaps is None:
             self._bitmaps = TransactionBitmaps.from_boolean_matrix(
                 self.schema, self.perturbed_bits
             )
-        return self.operator.support_from_pattern_counts(
-            pattern_counts(self._bitmaps, positions, backend=self.count_backend)
-        )
+        counts = pattern_counts(self._bitmaps, rows, backend=self.count_backend)
+        return [self.operator.support_from_pattern_counts(row) for row in counts]
 
     def supports(self, itemsets) -> np.ndarray:
         """Per-candidate reconstruction through the operator's solver."""
-        itemsets = list(itemsets)
-        estimates = np.empty(len(itemsets))
-        for i, itemset in enumerate(itemsets):
-            estimates[i] = self._estimate(itemset.boolean_positions(self.schema))
+        n, groups = level_groups(itemsets, self.schema)
+        estimates = np.empty(n)
+        for positions, level in groups:
+            # An itemset's item rows are its booleanized bit positions.
+            estimates[positions] = self._estimate_level(level.rows)
         return estimates
 
 

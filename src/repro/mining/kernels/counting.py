@@ -2,19 +2,21 @@
 
 :class:`BitmapSupportCounter` is the kernel-backed Apriori
 ``SupportSource``: it answers whole candidate batches with vectorized
-AND + popcount and keeps the previous batch's itemset bitmaps cached, so
-level-``k`` candidates whose ``(k-1)``-prefix was scored in the previous
-Apriori pass cost exactly one AND each.  Itemsets that arrive without a
-cached prefix (the first level, or ad-hoc queries) are reduced from
-their item rows directly, grouped by length so the reduction is still
-batched.
+AND + popcount, reading item rows straight from the array-encoded level
+(:class:`~repro.mining.itemsets.ItemsetLevel`), and keeps the previous
+batch's itemset bitmaps cached, so level-``k`` candidates whose
+``(k-1)``-prefix was scored in the previous Apriori pass cost exactly
+one AND each.  Itemsets that arrive without a cached prefix (the first
+level, or ad-hoc queries) are reduced from their item rows directly,
+one batched reduction per itemset length.
 
 Also here:
 
 * :func:`pattern_counts` -- exact counts of all ``2^k`` bit patterns
-  over ``k`` bitmap rows (superset popcounts + a Möbius transform),
-  which is how the MASK and C&P estimators' observed side runs on
-  bitmaps;
+  over ``k`` bitmap rows, for one candidate or a whole level at once
+  (each distinct sub-itemset popcounted once, then a vectorized Möbius
+  transform), which is how the MASK and C&P estimators' observed side
+  runs on bitmaps;
 * :func:`intersection_counts` -- those pattern counts binned by
   popcount, the intersection-size histogram the C&P estimator solves;
 * :func:`compress_transactions` -- vectorized transaction weighting for
@@ -26,11 +28,13 @@ from __future__ import annotations
 
 import warnings
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import DataError, MiningError
+from repro.mining.itemsets import level_groups, match_rows, row_keys
 from repro.mining.kernels import native
 from repro.mining.kernels.bitmap import TransactionBitmaps, popcount_words
 
@@ -123,7 +127,8 @@ class BitmapSupportCounter:
         self.bitmaps = bitmaps
         self.schema = bitmaps.schema
         self.backend = backend
-        self._cache_rows: dict = {}
+        # The previous batch's ``level_groups`` and its reduced bitmaps.
+        self._cache: list = []
         self._cache_words: np.ndarray | None = None
 
     @classmethod
@@ -139,81 +144,64 @@ class BitmapSupportCounter:
     def counts(self, itemsets) -> np.ndarray:
         """Exact record counts of a candidate batch (``int64`` array).
 
-        One vectorized AND for cache-hit candidates, one grouped
+        Per length group: one vectorized AND for candidates whose
+        ``(k-1)``-prefix is in the previous batch, one grouped
         AND-reduction for the rest; the batch's bitmaps replace the
         cache afterwards.
         """
-        itemsets = list(itemsets)
+        n, groups = level_groups(itemsets, self.schema)
         words = self.bitmaps.words
-        batch = np.empty((len(itemsets), self.bitmaps.n_words), dtype=np.uint64)
-
-        single_out, single_rows = [], []
-        cached_out, cached_parent, cached_last = [], [], []
-        generic_by_length: dict[int, tuple[list, list]] = {}
-        for i, itemset in enumerate(itemsets):
-            rows = self.bitmaps.itemset_rows(itemset)
-            if len(rows) == 1:
-                single_out.append(i)
-                single_rows.append(rows)
-                continue
-            parent_row = self._cache_rows.get(itemset.items[:-1])
-            if parent_row is not None:
-                cached_out.append(i)
-                cached_parent.append(parent_row)
-                cached_last.append(rows[-1])
+        batch = np.empty((n, self.bitmaps.n_words), dtype=np.uint64)
+        use_native = self.backend == "native"
+        result = np.empty(n, dtype=np.int64)
+        for positions, level in groups:
+            rows = level.rows
+            parent = self._cached_parents(rows)
+            hit = parent >= 0
+            miss = ~hit
+            if use_native:
+                # Fused path: each segment's AND lands in ``batch`` (the
+                # next level's cache) and its popcount comes back from
+                # the same kernel pass -- no second sweep over the words.
+                if miss.any():
+                    result[positions[miss]] = native.and_group_counts(
+                        words, rows[miss], out_words=batch, out_idx=positions[miss]
+                    )
+                if hit.any():
+                    result[positions[hit]] = native.and_pair_counts(
+                        self._cache_words,
+                        parent[hit],
+                        words,
+                        rows[hit, -1],
+                        out_words=batch,
+                        out_idx=positions[hit],
+                    )
+            elif level.length == 1:
+                batch[positions] = words[rows[:, 0]]
             else:
-                out, row_lists = generic_by_length.setdefault(
-                    len(rows), ([], [])
-                )
-                out.append(i)
-                row_lists.append(rows)
-
-        if self.backend == "native":
-            # Fused path: each segment's AND lands in ``batch`` (the
-            # next level's cache) and its popcount comes back from the
-            # same kernel pass -- no second sweep over the words.
-            result = np.empty(len(itemsets), dtype=np.int64)
-            if single_out:
-                result[single_out] = native.and_group_counts(
-                    words,
-                    np.asarray(single_rows, dtype=np.int64),
-                    out_words=batch,
-                    out_idx=np.asarray(single_out, dtype=np.int64),
-                )
-            if cached_out:
-                result[cached_out] = native.and_pair_counts(
-                    self._cache_words,
-                    cached_parent,
-                    words,
-                    cached_last,
-                    out_words=batch,
-                    out_idx=cached_out,
-                )
-            for out, row_lists in generic_by_length.values():
-                result[out] = native.and_group_counts(
-                    words,
-                    np.asarray(row_lists, dtype=np.int64),
-                    out_words=batch,
-                    out_idx=np.asarray(out, dtype=np.int64),
-                )
-        else:
-            if single_out:
-                batch[single_out] = words[np.asarray(single_rows).reshape(-1)]
-            if cached_out:
-                batch[cached_out] = np.bitwise_and(
-                    self._cache_words[cached_parent], words[cached_last]
-                )
-            for out, row_lists in generic_by_length.values():
-                batch[out] = np.bitwise_and.reduce(
-                    words[np.asarray(row_lists)], axis=1
-                )
+                if miss.any():
+                    batch[positions[miss]] = np.bitwise_and.reduce(
+                        words[rows[miss]], axis=1
+                    )
+                if hit.any():
+                    batch[positions[hit]] = np.bitwise_and(
+                        self._cache_words[parent[hit]], words[rows[hit, -1]]
+                    )
+        if not use_native:
             result = popcount_words(batch, axis=1)
-
-        self._cache_rows = {
-            itemset.items: i for i, itemset in enumerate(itemsets)
-        }
+        self._cache = groups
         self._cache_words = batch
         return result
+
+    def _cached_parents(self, rows: np.ndarray) -> np.ndarray:
+        """Previous-batch index of each row's ``(k-1)``-prefix, or ``-1``."""
+        parents = np.full(rows.shape[0], -1, dtype=np.int64)
+        k = rows.shape[1]
+        for positions, level in self._cache:
+            if level.length == k - 1:
+                found = match_rows(level.rows, rows[:, :-1], self.schema.n_boolean)
+                parents[found >= 0] = positions[found[found >= 0]]
+        return parents
 
     def supports(self, itemsets) -> np.ndarray:
         """Fraction of records supporting each itemset (exact)."""
@@ -222,57 +210,105 @@ class BitmapSupportCounter:
         return self.counts(itemsets) / self.bitmaps.n_records
 
 
+#: Working-set budgets of :func:`pattern_counts`: bytes of bitmap words
+#: ANDed at once, and sub-itemset index entries built at once.
+_AND_SLAB_BYTES = 1 << 22
+_SUBSET_SLAB_ENTRIES = 1 << 20
+
+
 def pattern_counts(
     bitmaps: TransactionBitmaps, positions, backend: str = "bitmap"
 ) -> np.ndarray:
     """Exact counts of all ``2^k`` bit patterns over ``k`` bitmap rows.
 
+    ``positions`` is one candidate's ``k`` rows (returns ``2^k``
+    counts) or a whole level's ``(n, k)`` rows (returns ``(n, 2^k)``,
+    row ``i`` equal to the call on ``positions[i]``).
+
     Index convention matches
     :meth:`repro.baselines.mask.MaskPerturbation.estimate_pattern_counts`:
     pattern code ``sum_i b_i * 2^(k-1-i)`` with ``b_i`` the bit at
     ``positions[i]`` (most significant first), so index ``2^k - 1`` is
-    the all-bits-set itemset count.  ``backend="native"`` swaps each
-    node's popcount for the compiled threaded kernel (identical
-    counts); the lattice walk itself is shared.
+    the all-bits-set itemset count.
 
     The kernel computes superset counts ``m[S]`` -- records with every
-    bit of ``S`` set -- walking the subset lattice depth-first so each
-    subset costs one AND against its parent's bitmap while only the
-    ``O(k)`` bitmaps on the current path stay live, then recovers exact
-    pattern counts with a superset Möbius transform in ``O(k 2^k)``.
+    bit of ``S`` set -- for every sub-itemset ``S``, popcounting each
+    *distinct* sub-itemset of the level once (candidates of one level
+    share most of theirs) in bounded-memory slabs, then recovers exact
+    pattern counts with a superset Möbius transform in ``O(k 2^k)`` per
+    candidate, vectorized over the level.  ``backend="native"`` runs
+    the AND-reductions through the compiled threaded kernel (identical
+    counts).
     """
-    positions = list(positions)
-    k = len(positions)
+    positions = np.asarray(positions, dtype=np.int64)
+    single = positions.ndim == 1
+    level = positions[None, :] if single else positions
+    if level.ndim != 2:
+        raise DataError(f"positions must be 1-D or 2-D, got shape {positions.shape}")
+    n, k = level.shape
     if k < 1:
         raise DataError("need at least one bit position")
     if k > MAX_PATTERN_BITS:
         raise DataError(f"pattern space 2^{k} too large for the bitmap kernel")
-    words = bitmaps.words
+    base = bitmaps.words.shape[0]
+    if level.size and (level.min() < 0 or level.max() >= base):
+        raise DataError(f"bit positions must lie in [0, {base})")
     use_native = resolve_backend(backend) == "native"
-    count_one = native.popcount_total if use_native else popcount_words
-    superset = np.empty(1 << k, dtype=np.int64)
-    superset[0] = bitmaps.n_records
-
-    def descend(start: int, acc: np.ndarray | None, mask: int) -> None:
-        # ``mask`` uses the msb-first code convention: position ``i``
-        # owns bit ``k - 1 - i``; ``acc`` is the AND over ``mask``.
-        for i in range(start, k):
-            row = words[positions[i]]
-            child = row if acc is None else acc & row
-            child_mask = mask | (1 << (k - 1 - i))
-            superset[child_mask] = count_one(child)
-            descend(i + 1, child, child_mask)
-
-    descend(0, None, 0)
+    superset = np.empty((n, 1 << k), dtype=np.int64)
+    superset[:, 0] = bitmaps.n_records
+    step = max(1, _SUBSET_SLAB_ENTRIES // (k << k))
+    for start in range(0, n, step):
+        candidates = level[start : start + step]
+        block = superset[start : start + step]
+        for columns, codes in _sub_itemsets(k):
+            subsets = candidates[:, columns].reshape(-1, columns.shape[1])
+            _, first, inverse = np.unique(
+                row_keys(subsets, base), return_index=True, return_inverse=True
+            )
+            counts = _and_counts(bitmaps.words, subsets[first], use_native)
+            block[:, codes] = counts[inverse].reshape(block.shape[0], -1)
     # Möbius over supersets: c[P] = sum_{S >= P} (-1)^{|S \ P|} m[S].
-    tensor = superset.reshape((2,) * k)
-    for axis in range(k):
-        without = [slice(None)] * k
-        with_bit = [slice(None)] * k
+    tensor = superset.reshape((n,) + (2,) * k)
+    for axis in range(1, k + 1):
+        without = [slice(None)] * (k + 1)
+        with_bit = [slice(None)] * (k + 1)
         without[axis] = 0
         with_bit[axis] = 1
         tensor[tuple(without)] -= tensor[tuple(with_bit)]
-    return tensor.reshape(-1)
+    return superset[0] if single else superset
+
+
+@lru_cache(maxsize=None)
+def _sub_itemsets(k: int) -> tuple:
+    """``(columns, codes)`` per sub-itemset size ``1..k`` of a ``k``-set.
+
+    ``columns`` is ``(C, size)``: every ascending choice of ``size`` of
+    the ``k`` positions; ``codes`` is each choice's msb-first pattern
+    code (position ``i`` owns bit ``k - 1 - i``).
+    """
+    groups = []
+    for size in range(1, k + 1):
+        columns = np.array(list(combinations(range(k), size)), dtype=np.int64)
+        codes = (1 << (k - 1 - columns)).sum(axis=1)
+        columns.flags.writeable = False
+        codes.flags.writeable = False
+        groups.append((columns, codes))
+    return tuple(groups)
+
+
+def _and_counts(words: np.ndarray, groups: np.ndarray, use_native: bool) -> np.ndarray:
+    """Popcount of the AND of each ``groups`` row's bitmap rows."""
+    if use_native:
+        return native.and_group_counts(words, groups)
+    counts = np.empty(groups.shape[0], dtype=np.int64)
+    step = max(1, _AND_SLAB_BYTES // max(1, words.shape[1] * words.itemsize))
+    for start in range(0, groups.shape[0], step):
+        slab = groups[start : start + step]
+        acc = words[slab[:, 0]]
+        for column in range(1, slab.shape[1]):
+            acc &= words[slab[:, column]]
+        counts[start : start + slab.shape[0]] = popcount_words(acc, axis=1)
+    return counts
 
 
 @lru_cache(maxsize=None)

@@ -17,12 +17,15 @@ returning an :class:`~repro.mining.apriori.AprioriResult` over
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.mechanisms import registry as mechanism_registry
 from repro.mechanisms.base import Mechanism
 from repro.mining.apriori import AprioriResult, apriori
 from repro.mining.counting import ExactSupportCounter
+from repro.mining.itemsets import ItemsetLevel, match_rows
 
 
 def mine_exact(
@@ -61,32 +64,44 @@ def mine_per_level(
     discusses how the two differ at high perturbation levels.)
     """
     from repro.mining.apriori import generate_candidates
-    from repro.mining.itemsets import all_items
 
     result = AprioriResult(min_support=min_support)
+    true_levels: dict[int, ItemsetLevel] = {}
+
+    def true_level(length: int) -> ItemsetLevel:
+        # Each true level is encoded once: as level k's extra candidates
+        # and as level k+1's join input.
+        level = true_levels.get(length)
+        if level is None:
+            frequent = true_result.by_length.get(length)
+            level = true_levels[length] = (
+                ItemsetLevel.from_itemsets(schema, frequent)
+                if frequent
+                else ItemsetLevel(schema, np.empty((0, length), dtype=np.int64))
+            )
+        return level
+
     for length in sorted(true_result.by_length):
         if length == 1:
-            candidates = all_items(schema)
+            candidates = ItemsetLevel.singletons(schema)
         else:
-            previous = list(true_result.by_length.get(length - 1, {}))
-            candidates = generate_candidates(previous)
+            joined = generate_candidates(true_level(length - 1))
             # Also score the true frequent itemsets themselves in case
             # pruning over the true lattice dropped any (it cannot for
             # exact supports, but stay robust to capped references).
-            seen = set(candidates)
-            candidates.extend(
-                its for its in true_result.by_length[length] if its not in seen
+            truth = true_level(length)
+            missing = match_rows(joined.rows, truth.rows, schema.n_boolean) < 0
+            candidates = ItemsetLevel(
+                schema, np.concatenate([joined.rows, truth.rows[missing]])
             )
-        if not candidates:
+        if not len(candidates):
             continue
-        supports = estimator.supports(candidates)
-        level = {
-            itemset: float(support)
-            for itemset, support in zip(candidates, supports)
-            if support >= min_support
-        }
-        if level:
-            result.by_length[length] = level
+        supports = np.asarray(estimator.supports(candidates), dtype=float)
+        frequent = supports >= min_support
+        if frequent.any():
+            result.by_length[length] = dict(
+                zip(candidates[frequent], supports[frequent].tolist())
+            )
     return result
 
 

@@ -12,7 +12,7 @@ from repro.data.schema import Attribute, Schema
 from repro.exceptions import MiningError
 from repro.mining.apriori import AprioriResult, apriori, generate_candidates
 from repro.mining.counting import ExactSupportCounter
-from repro.mining.itemsets import Itemset
+from repro.mining.itemsets import Itemset, ItemsetLevel
 
 
 def brute_force_frequent(dataset, min_support):
@@ -31,6 +31,68 @@ def brute_force_frequent(dataset, min_support):
                 if support >= min_support:
                     frequent[Itemset(zip(subset, values))] = support
     return frequent
+
+
+def reference_generate_candidates(frequent_level):
+    """Object-based join and prune, one ``Itemset`` at a time (test oracle).
+
+    The nested loop over the sorted level that the array join replaced;
+    its output order is the order the array version must reproduce.
+    """
+    ordered = sorted(frequent_level)
+    frequent_set = set(ordered)
+    candidates = []
+    for i, left in enumerate(ordered):
+        for right in ordered[i + 1 :]:
+            if left.items[:-1] != right.items[:-1]:
+                # ordered list: no later itemset shares the prefix either
+                break
+            if left.items[-1][0] == right.items[-1][0]:
+                continue
+            candidate = Itemset(left.items + (right.items[-1],))
+            if all(s in frequent_set for s in candidate.subsets_dropping_one()):
+                candidates.append(candidate)
+    return candidates
+
+
+def _schema(cards):
+    return Schema(
+        [
+            Attribute(f"a{i}", [f"c{j}" for j in range(card)])
+            for i, card in enumerate(cards)
+        ]
+    )
+
+
+@st.composite
+def downward_closed_levels(draw, wide=False):
+    """``(schema, level)``: the length-``k`` slice of a downward-closed family.
+
+    The family is every subset of a few random maximal itemsets.  The
+    wide variant has >= 40 attributes and long levels, where base-``M_b``
+    keys of whole rows no longer fit in ``int64``.
+    """
+    if wide:
+        cards = draw(st.lists(st.integers(3, 4), min_size=40, max_size=50))
+        sizes, k_range = st.integers(11, 13), (10, 11)
+    else:
+        cards = draw(st.lists(st.integers(2, 4), min_size=1, max_size=7))
+        sizes, k_range = st.integers(1, len(cards)), (1, len(cards))
+    schema = _schema(cards)
+    maximal = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = min(draw(sizes), len(cards))
+        attrs = draw(st.permutations(range(len(cards))))[:size]
+        maximal.append(
+            [(a, draw(st.integers(0, cards[a] - 1))) for a in sorted(attrs)]
+        )
+    k = draw(st.integers(*k_range))
+    level = {
+        Itemset(subset)
+        for items in maximal
+        for subset in combinations(items, k)
+    }
+    return schema, draw(st.permutations(sorted(level)))
 
 
 class TestCandidateGeneration:
@@ -59,6 +121,43 @@ class TestCandidateGeneration:
 
     def test_empty_level(self):
         assert generate_candidates([]) == []
+
+    def test_duplicates_count_once(self):
+        level = [Itemset.of((0, 1)), Itemset.of((1, 0)), Itemset.of((0, 1))]
+        assert generate_candidates(level) == [Itemset.of((0, 1), (1, 0))]
+
+    def test_mixed_lengths_rejected(self):
+        level = [Itemset.of((0, 1)), Itemset.of((1, 0)), Itemset.of((0, 1), (1, 0))]
+        with pytest.raises(MiningError, match=r"lengths \[1, 2\]"):
+            generate_candidates(level)
+
+    def test_level_in_level_out(self, survey_schema):
+        level = ItemsetLevel.singletons(survey_schema)
+        pairs = generate_candidates(level)
+        assert isinstance(pairs, ItemsetLevel)
+        assert list(pairs) == generate_candidates(list(level))
+        empty = generate_candidates(pairs[:0])
+        assert isinstance(empty, ItemsetLevel) and empty.length == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(downward_closed_levels())
+    def test_matches_reference_in_order(self, case):
+        """Property: the array join/prune is the nested loop, order included."""
+        schema, level = case
+        expected = reference_generate_candidates(level)
+        assert generate_candidates(level) == expected
+        encoded = ItemsetLevel.from_itemsets(schema, level)
+        assert list(generate_candidates(encoded)) == expected
+
+    @settings(max_examples=15, deadline=None)
+    @given(downward_closed_levels(wide=True))
+    def test_matches_reference_on_wide_schemas(self, case):
+        schema, level = case
+        assert schema.n_boolean ** level[0].length > np.iinfo(np.int64).max
+        expected = reference_generate_candidates(level)
+        assert generate_candidates(level) == expected
+        encoded = ItemsetLevel.from_itemsets(schema, level)
+        assert list(generate_candidates(encoded)) == expected
 
 
 class TestAprioriExact:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.cut_and_paste import CutAndPastePerturbation
 from repro.baselines.mask import MaskPerturbation
@@ -201,6 +203,72 @@ class TestSupportsInputContract:
     @pytest.mark.parametrize("mechanism", _paper_mechanisms())
     def test_mechanism_estimator(self, census_sample, mechanism):
         _assert_input_contract(mechanism.build_estimator(census_sample, seed=3))
+
+
+# ----------------------------------------------------------------------
+# batch shape: a mixed batch answers like its itemsets one at a time
+# ----------------------------------------------------------------------
+def _batch_pool():
+    """Itemsets of lengths 1-3 over CENSUS, for shuffled mixed batches."""
+    return all_items(census_schema()) + _contract_itemsets() + [
+        Itemset.of((0, 0), (1, 1)),
+        Itemset.of((0, 0), (1, 1), (3, 0)),
+        Itemset.of((2, 4), (3, 1), (5, 0)),
+        Itemset.of((4, 1), (5, 1)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def batch_sources():
+    from repro.mechanisms.base import MarginalInversionEstimator
+
+    sample = generate_census(400, seed=11)
+    sources = {
+        f"exact-{backend}": ExactSupportCounter(sample, backend)
+        for backend in ("bitmap", "loops", "native")
+    }
+    for name in ("det-gd", "mask", "c&p"):
+        mechanism = registry.create(name, census_schema(), gamma=19.0)
+        sources[name] = mechanism.build_estimator(sample, seed=3)
+    for name in ("additive-noise", "composite"):
+        mechanism = registry.create(name, census_schema(), **_NON_GAMMA_PARAMS[name])
+        sources[name] = mechanism.build_estimator(sample, seed=3)
+        assert isinstance(sources[name], MarginalInversionEstimator)
+    return sources
+
+
+_POOL = _batch_pool()
+
+
+class TestBatchShape:
+    """Shuffled, mixed-length batches with duplicates, as list and generator."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "exact-bitmap",
+            "exact-loops",
+            "exact-native",
+            "det-gd",
+            "mask",
+            "c&p",
+            "additive-noise",
+            "composite",
+        ],
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(
+        batch=st.lists(st.sampled_from(_POOL), min_size=1, max_size=20).flatmap(
+            lambda picked: st.permutations(picked + picked[: len(picked) // 2])
+        )
+    )
+    def test_batch_equals_one_at_a_time(self, batch_sources, name, batch):
+        source = batch_sources[name]
+        one_at_a_time = np.concatenate([source.supports([its]) for its in batch])
+        np.testing.assert_array_equal(source.supports(batch), one_at_a_time)
+        np.testing.assert_array_equal(
+            source.supports(its for its in batch), one_at_a_time
+        )
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.mining.kernels import (
     popcount_words,
     validate_backend,
 )
+from repro.mining.kernels.counting import MAX_PATTERN_BITS
 from repro.mining.reconstructing import mine_exact
 from repro.pipeline import (
     BitmapAccumulator,
@@ -182,11 +183,18 @@ def test_level_cache_is_used_and_exact(survey_dataset):
     loops = ExactSupportCounter(survey_dataset, count_backend="loops")
     items = all_items(survey_dataset.schema)
     counter.supports(items)
-    assert set(counter._cache_rows) == {itemset.items for itemset in items}
     pairs = generate_candidates(items)
     got = counter.supports(pairs)
     assert np.array_equal(loops.supports(pairs), got)
-    assert set(counter._cache_rows) == {itemset.items for itemset in pairs}
+    # Every pair's cached prefix is hit: with the cached prefix bitmaps
+    # zeroed, a batch answered from them counts nothing at all.
+    counter.supports(items)
+    counter._cache_words = np.zeros_like(counter._cache_words)
+    assert not counter.counts(pairs).any()
+    triples = generate_candidates(pairs)
+    assert triples
+    counter._cache_words = np.zeros_like(counter._cache_words)
+    assert not counter.counts(triples).any()
 
 
 def test_empty_dataset_rejected(tiny_schema):
@@ -332,6 +340,30 @@ def test_mask_pattern_counts_equal_bincount(schema, seed):
     # Binned by popcount they are C&P's intersection-size histogram.
     histogram = np.bincount(sub.sum(axis=1), minlength=k + 1)
     assert np.array_equal(histogram, intersection_counts(counts))
+
+
+@pytest.mark.parametrize("backend", ["bitmap", "native"])
+@pytest.mark.parametrize("k", range(1, MAX_PATTERN_BITS + 1))
+def test_level_pattern_counts_equal_stacked_calls(k, backend):
+    """The 2-D call is the 1-D call per candidate, shared subsets included."""
+    rng = np.random.default_rng(k)
+    schema = Schema([Attribute(f"b{i}", ["0", "1"]) for i in range(8)])
+    bits = rng.random((130, schema.n_boolean)) < 0.6
+    bitmaps = TransactionBitmaps.from_boolean_matrix(schema, bits)
+    # Candidates drawn from a few columns share most sub-itemsets.
+    columns = rng.choice(
+        schema.n_boolean, size=min(k + 2, schema.n_boolean), replace=False
+    )
+    level = np.array(
+        [np.sort(rng.choice(columns, size=k, replace=False)) for _ in range(6)]
+    )
+    stacked = np.stack([pattern_counts(bitmaps, row, backend=backend) for row in level])
+    assert np.array_equal(pattern_counts(bitmaps, level, backend=backend), stacked)
+    sub = bits[:, level[0]].astype(np.int64)
+    weights = 1 << np.arange(k - 1, -1, -1)
+    assert np.array_equal(stacked[0], np.bincount(sub @ weights, minlength=1 << k))
+    empty = pattern_counts(bitmaps, level[:0], backend=backend)
+    assert empty.shape == (0, 1 << k) and empty.dtype == np.int64
 
 
 # ----------------------------------------------------------------------
